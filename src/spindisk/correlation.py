@@ -1,10 +1,13 @@
 """Exact correlation functions of disk colourings.
 
 The correlation at separation gamma is rho(gamma) = 2 * Pr(opposite
-colours at distance gamma) - 1 under a uniform random rotation.  For a
-finite-switch colouring this is piecewise linear in gamma, with kinks
-exactly at the pairwise differences of the colour-switch angles, so it can
-be represented and integrated in closed form.
+colours at distance gamma) - 1 under a uniform random rotation.  By
+Wiener-Khinchin it is minus the autocorrelation of the +-1 colouring f.
+f jumps by J_i = +-2 at its 2k+2 switch angles f_i, so rho'' is a sum of
+point masses J_i * J_j / (2*pi) at the pairwise differences f_j - f_i
+(mod 2*pi), and rho'(0+) = (2k+2)/pi: rho is piecewise linear with kinks
+exactly there.  Summing the sorted kink weights twice gives the curve in
+O(k^2 log k) time and O(k^2) memory, which is then integrated in closed form.
 """
 from __future__ import annotations
 
@@ -48,16 +51,15 @@ class PiecewiseLinearCorrelation:
         val = np.append(self.values, self.values[0])
         return bp, val
 
-    def sample(self, gammas) -> np.ndarray:
-        """Evaluate at an array of angles (reduced mod 2*pi)."""
+    def sample(self, gammas) -> np.ndarray | float:
+        """Evaluate at an array of angles, or at one angle as a float (mod 2*pi)."""
         g = np.remainder(np.asarray(gammas, dtype=float), TWO_PI)
-        g[g >= TWO_PI] = 0.0
         bp, val = self._extended()
         return np.interp(g, bp, val)
 
     def evaluate(self, gamma: float) -> float:
         """Evaluate at a single angle."""
-        return float(self.sample(np.array([gamma]))[0])
+        return float(self.sample(gamma))
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-piece (g0, g1, slope, intercept) arrays covering [0, 2*pi]."""
@@ -68,48 +70,50 @@ class PiecewiseLinearCorrelation:
         return g0, g1, slope, intercept
 
 
-def exact_correlation(c: Colouring) -> PiecewiseLinearCorrelation:
-    """Exact rho for a single colouring via interval-overlap arithmetic.
+def _kink_curve(components) -> PiecewiseLinearCorrelation:
+    """rho = sum_c w_c * rho_c over (w_c, colouring) pairs, from kink weights.
 
-    The opposite-colour measure m(gamma) is a sum of circular overlaps of
-    constant-colour arcs, hence piecewise linear between the pairwise
-    differences (mod 2*pi) of the 2k+2 switch angles.  rho = m/pi - 1.
+    Component c has kinks of weight w_c * J_i * J_j / (2*pi) at its nonzero
+    switch differences; its zero differences are the kink at 0 behind
+    rho'(0+).  Each weight goes to the last breakpoint at or below
+    d + ANGLE_TOL, so near-equal differences that dedupe merged, such as a
+    switch pair's and its antipodal copy's, share one breakpoint and lose
+    no weight.  The curve is built on [0, pi] with rho(0) = -1 and
+    rho(pi) = +1 exact; evenness fills (pi, 2*pi).  Slopes are summed in
+    units of 1/(2*pi), in which a single colouring's are exact integers.
     """
-    f = np.array(full_switch_set(c))
-    n = f.size
-    diffs = np.remainder((f[:, None] - f[None, :]).ravel(), TWO_PI)
-    diffs = diffs[diffs < TWO_PI - ANGLE_TOL]
-    bps = _dedupe_sorted(np.sort(np.concatenate(([0.0], diffs))))
+    diffs, weights = [], []
+    slope0 = 0.0
+    for w, c in components:
+        f = np.array(full_switch_set(c))
+        jumps = 2.0 - 4.0 * (np.arange(f.size) % 2)
+        d = np.remainder(f[None, :] - f[:, None], TWO_PI)
+        # kinks at pi - ANGLE_TOL or later do not shape [0, pi]
+        keep = (d > 0.0) & (d < PI - ANGLE_TOL)
+        diffs.append(d[keep])
+        weights.append((w * np.outer(jumps, jumps))[keep])
+        slope0 += w * 2.0 * f.size
+    d = np.concatenate(diffs)
+    bps = _dedupe_sorted(np.sort(np.concatenate(([0.0], d, [PI]))))
+    idx = np.searchsorted(bps, d + ANGLE_TOL, "right") - 1
+    kinks = np.bincount(idx, weights=np.concatenate(weights), minlength=bps.size)
+    slopes = slope0 + np.cumsum(kinks[:-1])
+    values = np.clip(np.append(0.0, np.cumsum(slopes * np.diff(bps))) / TWO_PI - 1.0, -1.0, 1.0)
+    values[-1] = 1.0
+    return PiecewiseLinearCorrelation(
+        np.concatenate((bps, TWO_PI - bps[-2:0:-1])),
+        np.concatenate((values, values[-2:0:-1])),
+    )
 
-    starts = f
-    ends = np.append(f[1:], TWO_PI)
-    colours = 1 - 2 * (np.arange(n) % 2)
 
-    opp_i, opp_j = np.nonzero(colours[:, None] != colours[None, :])
-    ai = starts[opp_i][:, None]
-    bi = ends[opp_i][:, None]
-    aj = starts[opp_j][:, None]
-    bj = ends[opp_j][:, None]
-
-    m = np.zeros(bps.size)
-    for shift in (-TWO_PI, 0.0, TWO_PI):
-        lo = np.maximum(ai, aj - bps[None, :] + shift)
-        hi = np.minimum(bi, bj - bps[None, :] + shift)
-        m += np.clip(hi - lo, 0.0, None).sum(axis=0)
-
-    values = np.clip(m / PI - 1.0, -1.0, 1.0)
-    return PiecewiseLinearCorrelation(bps, values)
+def exact_correlation(c: Colouring) -> PiecewiseLinearCorrelation:
+    """Exact rho for a single colouring, in O(k^2 log k) time and O(k^2) memory."""
+    return _kink_curve(((1.0, c),))
 
 
 def mixture_correlation(m: Mixture | Colouring) -> PiecewiseLinearCorrelation:
-    """Weighted average of component correlations, exact on the union grid."""
-    mix = as_mixture(m)
-    comps = [(w, exact_correlation(c)) for w, c in mix.components]
-    bps = _dedupe_sorted(np.sort(np.concatenate([pl.breakpoints for _, pl in comps])))
-    values = np.zeros(bps.size)
-    for w, pl in comps:
-        values += w * pl.sample(bps)
-    return PiecewiseLinearCorrelation(bps, np.clip(values, -1.0, 1.0))
+    """Exact rho of a mixture: the kink weights of all components, pooled."""
+    return _kink_curve(as_mixture(m).components)
 
 
 def _merge_grids(p: PiecewiseLinearCorrelation, q: PiecewiseLinearCorrelation) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import Colouring, Mixture, TWO_PI, as_mixture, segments
-from .correlation import PiecewiseLinearCorrelation, exact_correlation
+from .correlation import PiecewiseLinearCorrelation
 
 #: Largest possible |fhat_1| for a +-1 function is 2/pi (sign-of-cosine
 #: colouring), so no classical model gets a_1 below -8/pi^2.
@@ -146,21 +146,3 @@ def first_harmonic_bound_check(s: Spectrum) -> BoundCheck:
         bound=FIRST_HARMONIC_COEFF_BOUND,
     )
 
-
-def spectrum_of_model_curve(model: Colouring | Mixture, n_max: int = DEFAULT_N_MAX) -> Spectrum:
-    """Spectrum with cosine coefficients taken from the exact curve.
-
-    Convenience wrapper used by diagnostics that want the direct-integration
-    route while keeping the colouring power data.
-    """
-    mix = as_mixture(model)
-    power = np.zeros(n_max + 1)
-    for w, c in mix.components:
-        power += w * np.abs(colouring_spectrum(c, n_max)) ** 2
-    if len(mix.components) == 1:
-        pl = exact_correlation(mix.components[0][1])
-    else:
-        from .correlation import mixture_correlation
-
-        pl = mixture_correlation(mix)
-    return Spectrum(n_max, None, power, pl_cosine_coeffs(pl, n_max))

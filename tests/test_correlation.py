@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from spindisk import (
@@ -13,6 +15,7 @@ from spindisk import (
     sup_distance_to_cosine,
     triangle_colouring,
 )
+from spindisk.circle import ANGLE_TOL
 from spindisk.correlation import (
     PiecewiseLinearCorrelation,
     check_invariants,
@@ -23,6 +26,7 @@ from spindisk.lattice import LatticeColouring, lattice_correlation
 from spindisk.optimize import MIN_L2_DISTANCE
 
 from conftest import random_colouring, random_mixture
+from overlap_oracle import overlap_correlation, overlap_mixture_correlation
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -31,6 +35,38 @@ TWO_PI = 2 * math.pi
 def triangle_reference(g):
     g = np.remainder(g, TWO_PI)
     return np.where(g <= PI, 2 * g / PI - 1.0, 3.0 - 2 * g / PI)
+
+
+@st.composite
+def colourings(draw, max_k):
+    """Random colourings with k <= max_k, half of them on an angle lattice.
+
+    Lattice switches make antipodal switch differences equal in exact
+    arithmetic but only to rounding in floating point.
+    """
+    k = 2 * draw(st.integers(0, max_k // 2))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([36, 360, 720]))
+        steps = draw(st.lists(st.integers(1, n // 2 - 1), min_size=k, max_size=k, unique=True))
+        return new_colouring([TWO_PI * j / n for j in steps])
+    theta = sorted(draw(st.lists(st.floats(1e-3, PI - 1e-3), min_size=k, max_size=k, unique=True)))
+    assume(all(b - a > 1e-9 for a, b in zip(theta, theta[1:])))
+    return new_colouring(theta)
+
+
+@st.composite
+def mixtures(draw):
+    n = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    comps = draw(st.lists(colourings(8), min_size=n, max_size=n))
+    total = sum(raw)
+    return Mixture(tuple((w / total, c) for w, c in zip(raw, comps)))
+
+
+def assert_matches_oracle(pl, oracle):
+    assert pl.breakpoints.shape == oracle.breakpoints.shape
+    assert np.max(np.abs(pl.breakpoints - oracle.breakpoints)) <= ANGLE_TOL
+    assert np.max(np.abs(pl.values - oracle.values)) <= 1e-12
 
 
 def l2_quadrature_oracle(fn):
@@ -66,6 +102,27 @@ class TestExactCorrelation:
         for k in (0, 2, 4, 6):
             check_invariants(exact_correlation(random_colouring(rng, k)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(colourings(16))
+    def test_matches_overlap_oracle(self, c):
+        assert_matches_oracle(exact_correlation(c), overlap_correlation(c))
+
+    def test_large_k_invariants(self, rng):
+        for _ in range(5):
+            check_invariants(exact_correlation(random_colouring(rng, 200)), tol=1e-12)
+        m = Mixture(tuple((w, random_colouring(rng, k)) for w, k in ((0.5, 100), (0.3, 60), (0.2, 20))))
+        check_invariants(mixture_correlation(m), tol=1e-12)
+
+    def test_memory_is_quadratic_in_k(self, rng):
+        c = random_colouring(rng, 48)
+        tracemalloc.start()
+        try:
+            exact_correlation(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_slope_bound(self, rng):
         for k in (0, 2, 4, 6, 8):
             c = random_colouring(rng, k)
@@ -79,6 +136,8 @@ class TestEvaluate:
         assert pl.evaluate(PI / 2) == pytest.approx(0.0, abs=1e-15)
         assert pl.evaluate(0.0) == -1.0
         assert pl.evaluate(3 * PI / 2) == pytest.approx(0.0, abs=1e-15)
+        v = pl.sample(1.0)
+        assert isinstance(v, float) and v == pytest.approx(2 / PI - 1.0, abs=1e-15)
 
     def test_range(self, rng):
         pl = exact_correlation(random_colouring(rng, 6))
@@ -113,6 +172,11 @@ class TestMixtureCorrelation:
     def test_invariants(self, rng):
         for _ in range(5):
             check_invariants(mixture_correlation(random_mixture(rng)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixtures())
+    def test_matches_overlap_oracle(self, m):
+        assert_matches_oracle(mixture_correlation(m), overlap_mixture_correlation(m))
 
 
 class TestL2Distance:
