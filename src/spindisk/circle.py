@@ -59,19 +59,16 @@ class Colouring:
             raise OddSwitchCount(
                 f"switch count must be even, got {len(self.switches)}"
             )
-        prev = 0.0
         for s in self.switches:
             if not (0.0 < s < PI):
                 raise OutOfRange(f"switch angle {s!r} not in (0, pi)")
-            if s - prev <= ANGLE_TOL and prev != 0.0:
+        # the forced switches at 0 and pi bound the list on both sides
+        bounded = (0.0, *self.switches, PI)
+        for prev, s in zip(bounded, bounded[1:]):
+            if s - prev <= ANGLE_TOL:
                 raise DuplicateSwitch(
-                    f"switch angles {prev!r} and {s!r} coincide within {ANGLE_TOL}"
+                    f"switch angle {s!r} does not exceed {prev!r} by more than {ANGLE_TOL}"
                 )
-            if s <= prev:
-                raise DuplicateSwitch(
-                    f"switch angles must be strictly increasing, got {s!r} after {prev!r}"
-                )
-            prev = s
 
     @property
     def k(self) -> int:

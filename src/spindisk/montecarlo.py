@@ -6,6 +6,12 @@ each outcome depends only on the shared (component, rotation) pair and the
 local setting.  The quantum simulator samples the four-cell joint law
 Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
 
+A sampler declares its table keys up front and returns, with each run's
+settings, the index of the run's key.  The count table is then one
+`np.bincount` over (key index, outcome cell), and a mixture's colours come
+from one `searchsorted` over its components' switch sets laid end to end.
+`UniformSampler` keys its runs by gamma bin, not by setting pair.
+
 All randomness flows from numpy SeedSequence, so results are reproducible
 per (seed, shard index) regardless of scheduling.
 """
@@ -23,14 +29,6 @@ class InvalidSampler(ValueError):
     """Setting sampler has an empty setting set."""
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    alpha: float
-    beta: float
-    a: int
-    b: int
-
-
 @dataclass
 class CountTable:
     """Outcome counts per setting pair: [n++, n+-, n-+, n--]."""
@@ -44,10 +42,6 @@ class CountTable:
         else:
             self.counts[key] = cells.astype(np.int64)
 
-    def merge(self, other: "CountTable") -> None:
-        for (alpha, beta), cells in other.counts.items():
-            self.add(alpha, beta, cells)
-
     def n_runs(self) -> int:
         return int(sum(c.sum() for c in self.counts.values()))
 
@@ -55,15 +49,20 @@ class CountTable:
         return sorted(self.counts)
 
 
+_GAMMA_BINS = 360
+
+# A sampler has `keys`, the list of (alpha, beta) table keys, and
+# `draw(n, rng) -> (alphas, betas, idx)`, where run i counts under keys[idx[i]].
+
 class FixedPairSampler:
     """Every run uses the same (alpha, beta)."""
 
     def __init__(self, alpha: float, beta: float):
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.keys = [(float(alpha), float(beta))]
 
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return np.full(n, self.alpha), np.full(n, self.beta)
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        alpha, beta = self.keys[0]
+        return np.full(n, alpha), np.full(n, beta), np.zeros(n, dtype=np.intp)
 
 
 class GridSampler:
@@ -72,26 +71,31 @@ class GridSampler:
     def __init__(self, pairs: list[tuple[float, float]]):
         if not pairs:
             raise InvalidSampler("setting grid is empty")
-        self.pairs = [(float(a), float(b)) for a, b in pairs]
+        self.keys = [(float(a), float(b)) for a, b in pairs]
+        self._settings = np.array(self.keys)
 
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        idx = rng.integers(len(self.pairs), size=n)
-        arr = np.array(self.pairs)
-        return arr[idx, 0], arr[idx, 1]
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        idx = rng.integers(len(self.keys), size=n)
+        return self._settings[idx, 0], self._settings[idx, 1], idx
 
 
 class UniformSampler:
-    """Independent uniform settings on [0, 2*pi) for both stations."""
+    """Independent uniform settings on [0, 2*pi) for both stations.
 
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, TWO_PI, n)
+    Runs are counted in _GAMMA_BINS equal bins of gamma = beta - alpha (mod
+    2*pi), keyed (0, bin centre).  The spinning disk makes rho depend on
+    gamma alone, so the bin's gamma is the only meaningful key; a key per
+    drawn pair would give every run its own table row.
+    """
 
+    def __init__(self):
+        self.keys = [(0.0, (j + 0.5) * TWO_PI / _GAMMA_BINS) for j in range(_GAMMA_BINS)]
 
-def _colours_at(c: Colouring, x: np.ndarray) -> np.ndarray:
-    """Vectorised right-continuous colour lookup."""
-    f = np.array(full_switch_set(c))
-    idx = np.searchsorted(f, np.remainder(x, TWO_PI), side="right") - 1
-    return 1 - 2 * (idx & 1)
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        alphas, betas = rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, TWO_PI, n)
+        gammas = np.remainder(betas - alphas, TWO_PI)
+        idx = np.minimum((gammas * (_GAMMA_BINS / TWO_PI)).astype(np.intp), _GAMMA_BINS - 1)
+        return alphas, betas, idx
 
 
 def classical_outcomes(
@@ -100,24 +104,38 @@ def classical_outcomes(
     betas: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised classical runs; returns (a, b) arrays of +-1."""
+    """Vectorised classical runs; returns (a, b) arrays of +-1.
+
+    Component c's full switch set is shifted by 2*pi*c and the shifted sets
+    are concatenated into one sorted array, in which a run of component c
+    looks up remainder(x - u, 2*pi) + 2*pi*c.  Every full switch set has
+    even length, so the parity of the global index is the parity of the
+    local one and gives the colour.  Adding 2*pi*c rounds to the spacing
+    of floats near 2*pi*n for n components, so an angle within about
+    ulp(2*pi*n) of one of a component's 2k+2 switches (the one at 0 read
+    as 2*pi too) can land on the wrong side of it and flip its colour.
+    That happens with probability about 2*(2k+2)*ulp(2*pi*n)/(2*pi) per
+    run, k the largest switch count: ~4e-14 for n = 4, k = 16 and ~1e-11
+    for n = 1000.  A single colouring is not shifted.
+    """
     mix = as_mixture(model)
     n = alphas.size
     u = rng.uniform(0.0, TWO_PI, n)
     if len(mix.components) == 1:
-        comp_idx = np.zeros(n, dtype=int)
+        shift = 0.0
     else:
         weights = np.array([w for w, _ in mix.components])
         comp_idx = rng.choice(len(mix.components), size=n, p=weights / weights.sum())
-    a = np.empty(n, dtype=np.int64)
-    b = np.empty(n, dtype=np.int64)
-    for ci, (_, c) in enumerate(mix.components):
-        sel = comp_idx == ci
-        if not np.any(sel):
-            continue
-        a[sel] = _colours_at(c, alphas[sel] - u[sel])
-        b[sel] = -_colours_at(c, betas[sel] - u[sel])
-    return a, b
+        shift = TWO_PI * comp_idx
+    switches = np.concatenate([
+        np.array(full_switch_set(c)) + TWO_PI * ci for ci, (_, c) in enumerate(mix.components)
+    ])
+
+    def colours(x: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(switches, np.remainder(x - u, TWO_PI) + shift, side="right") - 1
+        return 1 - 2 * (idx & 1)
+
+    return colours(alphas), -colours(betas)
 
 
 def quantum_outcomes(
@@ -131,30 +149,10 @@ def quantum_outcomes(
     return a, b
 
 
-def classical_run(
-    model: Mixture | Colouring, alpha: float, beta: float, rng: np.random.Generator
-) -> RunRecord:
-    """One classical run at fixed settings."""
-    a, b = classical_outcomes(model, np.array([alpha]), np.array([beta]), rng)
-    return RunRecord(alpha, beta, int(a[0]), int(b[0]))
-
-
-def quantum_run(alpha: float, beta: float, rng: np.random.Generator) -> RunRecord:
-    """One quantum run at fixed settings."""
-    a, b = quantum_outcomes(np.array([alpha]), np.array([beta]), rng)
-    return RunRecord(alpha, beta, int(a[0]), int(b[0]))
-
-
-def _tabulate(alphas, betas, a, b) -> CountTable:
+def _tabulate(idx: np.ndarray, n_keys: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outcome counts per key index, shape (n_keys, 4)."""
     cells = (a < 0) * 2 + (b < 0)  # 0:++ 1:+- 2:-+ 3:--
-    settings = np.stack([alphas, betas], axis=1)
-    uniq, inverse = np.unique(settings, axis=0, return_inverse=True)
-    table = CountTable()
-    for i, (alpha, beta) in enumerate(uniq):
-        sel = inverse == i
-        counts = np.bincount(cells[sel], minlength=4)
-        table.add(float(alpha), float(beta), counts)
-    return table
+    return np.bincount(idx * 4 + cells, minlength=4 * n_keys).reshape(-1, 4)
 
 
 def run_experiment(
@@ -169,7 +167,8 @@ def run_experiment(
     """Run independent trials and aggregate outcome counts per setting pair.
 
     Deterministic given (seed, n_shards); shard streams come from
-    SeedSequence.spawn so merging is order-independent.
+    SeedSequence.spawn so merging is order-independent.  A key with no
+    runs gets no table row; keys listed twice share one row.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -178,17 +177,21 @@ def run_experiment(
     children = np.random.SeedSequence(seed).spawn(n_shards)
     per_shard = [n_runs // n_shards] * n_shards
     per_shard[-1] += n_runs - sum(per_shard)
-    table = CountTable()
+    counts = np.zeros((len(sampler.keys), 4), dtype=np.int64)
     for child, size in zip(children, per_shard):
         if size == 0:
             continue
         rng = np.random.default_rng(child)
-        alphas, betas = sampler.draw(size, rng)
+        alphas, betas, idx = sampler.draw(size, rng)
         if quantum:
             a, b = quantum_outcomes(alphas, betas, rng)
         else:
             a, b = classical_outcomes(model, alphas, betas, rng)
-        table.merge(_tabulate(alphas, betas, a, b))
+        counts += _tabulate(idx, len(sampler.keys), a, b)
+    table = CountTable()
+    for (alpha, beta), cells in zip(sampler.keys, counts):
+        if cells.any():
+            table.add(alpha, beta, cells)
     return table
 
 

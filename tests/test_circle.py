@@ -75,6 +75,11 @@ class TestConstruction:
         with pytest.raises(DuplicateSwitch):
             new_colouring([0.5, 0.5 + 1e-13])
 
+    @pytest.mark.parametrize("bad", [[1e-14, 1.0], [1.0, PI - 1e-14]], ids=["at_0", "at_pi"])
+    def test_switch_at_forced_switch_rejected(self, bad):
+        with pytest.raises(DuplicateSwitch):
+            new_colouring(bad)
+
 
 class TestFullSwitchSet:
     def test_k0(self):

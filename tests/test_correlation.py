@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings
 from scipy.integrate import quad
 
 from spindisk import (
@@ -25,7 +25,7 @@ from spindisk.correlation import (
 from spindisk.lattice import LatticeColouring, lattice_correlation
 from spindisk.optimize import MIN_L2_DISTANCE
 
-from conftest import random_colouring, random_mixture
+from conftest import colourings, mixtures, random_colouring, random_mixture
 from overlap_oracle import overlap_correlation, overlap_mixture_correlation
 
 PI = math.pi
@@ -35,32 +35,6 @@ TWO_PI = 2 * math.pi
 def triangle_reference(g):
     g = np.remainder(g, TWO_PI)
     return np.where(g <= PI, 2 * g / PI - 1.0, 3.0 - 2 * g / PI)
-
-
-@st.composite
-def colourings(draw, max_k):
-    """Random colourings with k <= max_k, half of them on an angle lattice.
-
-    Lattice switches make antipodal switch differences equal in exact
-    arithmetic but only to rounding in floating point.
-    """
-    k = 2 * draw(st.integers(0, max_k // 2))
-    if draw(st.booleans()):
-        n = draw(st.sampled_from([36, 360, 720]))
-        steps = draw(st.lists(st.integers(1, n // 2 - 1), min_size=k, max_size=k, unique=True))
-        return new_colouring([TWO_PI * j / n for j in steps])
-    theta = sorted(draw(st.lists(st.floats(1e-3, PI - 1e-3), min_size=k, max_size=k, unique=True)))
-    assume(all(b - a > 1e-9 for a, b in zip(theta, theta[1:])))
-    return new_colouring(theta)
-
-
-@st.composite
-def mixtures(draw):
-    n = draw(st.integers(1, 4))
-    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
-    comps = draw(st.lists(colourings(8), min_size=n, max_size=n))
-    total = sum(raw)
-    return Mixture(tuple((w / total, c) for w, c in zip(raw, comps)))
 
 
 def assert_matches_oracle(pl, oracle):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindisk import (
     CountTable,
@@ -9,20 +10,19 @@ from spindisk import (
     GridSampler,
     InvalidSampler,
     UniformSampler,
-    as_mixture,
-    classical_run,
     empirical_correlation,
     exact_correlation,
     new_colouring,
-    quantum_run,
     run_experiment,
     triangle_colouring,
 )
 from spindisk.montecarlo import classical_outcomes, quantum_outcomes
 
-from conftest import random_colouring, random_mixture
+from colour_oracle import masked_classical_outcomes
+from conftest import mixtures, random_colouring, random_mixture
 
 PI = math.pi
+TWO_PI = 2 * math.pi
 
 
 class TestClassicalRun:
@@ -49,9 +49,21 @@ class TestClassicalRun:
         a, _ = classical_outcomes(model, np.full(n, 1.3), np.full(n, 0.2), rng)
         assert abs(np.mean(a)) < 4 / math.sqrt(n)
 
-    def test_single_run_record(self, rng):
-        rec = classical_run(as_mixture(triangle_colouring()), 0.1, 0.1, rng)
-        assert rec.a in (-1, 1) and rec.b == -rec.a
+
+class TestColourLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(mixtures(max_k=16), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_masked_oracle(self, model, seed, on_lattice):
+        setting_rng = np.random.default_rng(seed)
+        if on_lattice:
+            alphas, betas = TWO_PI * setting_rng.integers(720, size=(2, 2000)) / 720
+        else:
+            alphas, betas = setting_rng.uniform(0.0, TWO_PI, size=(2, 2000))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, b = classical_outcomes(model, alphas, betas, rng)
+        a_ref, b_ref = masked_classical_outcomes(model, alphas, betas, oracle_rng)
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        assert rng.random() == oracle_rng.random()  # same draws consumed
 
 
 class TestQuantumRun:
@@ -71,10 +83,6 @@ class TestQuantumRun:
         n = 10**6
         a, b = quantum_outcomes(np.zeros(n), np.full(n, PI / 4), rng)
         assert np.mean(a * b) == pytest.approx(-math.cos(PI / 4), abs=4 / math.sqrt(n))
-
-    def test_single_run_record(self, rng):
-        rec = quantum_run(0.0, 0.0, rng)
-        assert rec.b == -rec.a
 
 
 class TestRunExperiment:
@@ -137,6 +145,13 @@ class TestRunExperiment:
         )
         assert table.n_runs() == 50
 
+    def test_duplicate_grid_pairs_share_a_row(self):
+        table = run_experiment(
+            model=triangle_colouring(), sampler=GridSampler([(0.0, 1.0), (0.0, 1.0)]),
+            n_runs=500, seed=1,
+        )
+        assert table.pairs() == [(0.0, 1.0)] and table.n_runs() == 500
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             run_experiment(sampler=FixedPairSampler(0, 0), n_runs=10, seed=0)
@@ -151,6 +166,31 @@ class TestRunExperiment:
     def test_empty_grid_sampler(self):
         with pytest.raises(InvalidSampler):
             GridSampler([])
+
+
+class TestUniformSampler:
+    def test_keys_are_gamma_bins(self):
+        n = 10**5
+        table = run_experiment(
+            model=triangle_colouring(), sampler=UniformSampler(), n_runs=n, seed=3
+        )
+        assert len(table.counts) <= 360
+        assert table.n_runs() == n
+        assert all(alpha == 0.0 and 0.0 < gamma < TWO_PI for alpha, gamma in table.pairs())
+
+    def test_bin_estimates_follow_triangle(self):
+        n_bins = 360
+        table = run_experiment(
+            model=triangle_colouring(), sampler=UniformSampler(),
+            n_runs=2 * 10**5, seed=4,
+        )
+        pl = exact_correlation(triangle_colouring())
+        max_slope = 2 / PI
+        assert len(table.counts) == n_bins
+        for (_, gamma), (est, _) in empirical_correlation(table).items():
+            n_bin = int(table.counts[(0.0, gamma)].sum())
+            bound = 5 / math.sqrt(n_bin) + (TWO_PI / n_bins) * max_slope
+            assert abs(est - pl.evaluate(gamma)) <= bound
 
 
 class TestEmpiricalCorrelation:
