@@ -29,7 +29,7 @@ from .circle import (
     new_colouring,
     triangle_colouring,
 )
-from .correlation import exact_correlation, mixture_correlation
+from .correlation import PiecewiseLinearCorrelation, exact_correlation, mixture_correlation
 from .montecarlo import (
     FixedPairSampler,
     GridSampler,
@@ -59,7 +59,7 @@ def _fail_cleanly(fn):
         try:
             return fn(*args, **kwargs)
         except _ERRORS as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            _echo(f"error: {type(exc).__name__}: {exc}\n", sys.stderr)
             sys.exit(2)
 
     return wrapper
@@ -70,10 +70,21 @@ def _load_model(path: str) -> Colouring | Mixture:
         return model_from_dict(json.load(fh))
 
 
+def _echo(text: str, stream) -> None:
+    """Write to sys.stdout or sys.stderr and flush.
+
+    Not click.echo: click caches its stream wrapper per stream object, and
+    under CliRunner or redirect_stdout that cache keeps every invocation's
+    captured output alive.
+    """
+    stream.write(text)
+    stream.flush()
+
+
 def _write_text(path: str | None, text: str) -> None:
     """Atomic write; '-' or None goes to stdout."""
     if path is None or path == "-":
-        click.echo(text, nl=False)
+        _echo(text, sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -96,6 +107,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _curve_csv(header: str, pl: PiecewiseLinearCorrelation, grid: int) -> str:
+    """A curve on `grid` points of [0, 2*pi] beside the -cos and triangle curves."""
+    gammas = np.linspace(0.0, TWO_PI, grid)
+    columns = (gammas, pl.sample(gammas), quantum_correlation(gammas),
+               exact_correlation(triangle_colouring()).sample(gammas))
+    rows = zip(*(c.tolist() for c in columns))
+    # %.17g formats a float exactly as _fmt does
+    return header + "gamma,rho,cos_ref,tri_ref\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g\n" % row for row in rows
+    )
+
+
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
@@ -109,17 +132,8 @@ def main() -> None:
 @_fail_cleanly
 def cmd_corr(model_file: str, grid: int, out: str) -> None:
     """Exact correlation curve of a model, with -cos and triangle overlays."""
-    model = _load_model(model_file)
-    pl = mixture_correlation(as_mixture(model))
-    tri = exact_correlation(triangle_colouring())
-    gammas = np.linspace(0.0, TWO_PI, grid)
-    rho = pl.sample(gammas)
-    cos_ref = quantum_correlation(gammas)
-    tri_ref = tri.sample(gammas)
-    lines = [_header("corr", model=model_file, grid=grid), "gamma,rho,cos_ref,tri_ref\n"]
-    for g, r, c, t in zip(gammas, rho, cos_ref, tri_ref):
-        lines.append(f"{_fmt(g)},{_fmt(r)},{_fmt(c)},{_fmt(t)}\n")
-    _write_text(out, "".join(lines))
+    pl = mixture_correlation(as_mixture(_load_model(model_file)))
+    _write_text(out, _curve_csv(_header("corr", model=model_file, grid=grid), pl, grid))
 
 
 @main.command("demo-figure")
@@ -137,24 +151,16 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
         raise ValidationError("--panels must be >= 1")
     os.makedirs(outdir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    tri = exact_correlation(triangle_colouring())
-    gammas = np.linspace(0.0, TWO_PI, grid)
     for p in range(1, panels + 1):
         theta = np.sort(rng.uniform(0.0, math.pi, nswitch))
         c = new_colouring(theta.tolist())
-        pl = exact_correlation(c)
-        lines = [
-            _header("demo-figure", nswitch=nswitch, panel=p, panels=panels, seed=seed, grid=grid),
-            f"# theta={json.dumps(list(c.switches))}\n",
-            "gamma,rho,cos_ref,tri_ref\n",
-        ]
-        rho = pl.sample(gammas)
-        cos_ref = quantum_correlation(gammas)
-        tri_ref = tri.sample(gammas)
-        for g, r, cr, t in zip(gammas, rho, cos_ref, tri_ref):
-            lines.append(f"{_fmt(g)},{_fmt(r)},{_fmt(cr)},{_fmt(t)}\n")
-        _write_text(os.path.join(outdir, f"panel_{p:02d}.csv"), "".join(lines))
-    click.echo(f"wrote {panels} panel files to {outdir}", err=True)
+        header = (
+            _header("demo-figure", nswitch=nswitch, panel=p, panels=panels, seed=seed, grid=grid)
+            + f"# theta={json.dumps(list(c.switches))}\n"
+        )
+        _write_text(os.path.join(outdir, f"panel_{p:02d}.csv"),
+                    _curve_csv(header, exact_correlation(c), grid))
+    _echo(f"wrote {panels} panel files to {outdir}\n", sys.stderr)
 
 
 @main.command("sim")
@@ -171,6 +177,8 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
     """Run the experiment and write counts plus empirical correlations."""
     if quantum == (model_file is not None):
         raise ValidationError("pass exactly one of MODEL_FILE or --quantum")
+    if runs < 1:
+        raise ValidationError(f"--runs must be >= 1, got {runs}")
     model = None if quantum else _load_model(model_file)
     if grid_pairs is not None:
         sampler = GridSampler([(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)])
@@ -202,6 +210,8 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
 @_fail_cleanly
 def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
     """Fourier coefficients of a model plus the impossibility diagnostic."""
+    if nmax < 1:
+        raise ValidationError(f"--nmax must be >= 1, got {nmax}")
     model = _load_model(model_file)
     s = spectrum(model, nmax)
     mix = as_mixture(model)
@@ -249,7 +259,10 @@ def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out)
     if pool is not None:
         if monotone:
             raise ValidationError("--monotone applies to --k searches only")
-        pool_ks = [int(x) for x in pool.split(",") if x.strip() != ""]
+        try:
+            pool_ks = [int(x) for x in pool.split(",") if x.strip() != ""]
+        except ValueError:
+            raise ValidationError(f"--pool must be comma-separated integers, got {pool!r}") from None
         result = optimise_mixture(
             pool_ks, metric=metric, n_iterations=iterations, seed=seed,
             subproblem_starts=starts,
@@ -278,6 +291,8 @@ def cmd_chsh(model_file, quantum, scan_step, out) -> None:
     """Scan the CHSH functional over a setting grid."""
     if quantum == (model_file is not None):
         raise ValidationError("pass exactly one of MODEL_FILE or --quantum")
+    if not scan_step > 0:
+        raise ValidationError(f"--scan-step must be positive, got {scan_step}")
     if quantum:
         rho = quantum_correlation
     else:

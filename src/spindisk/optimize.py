@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .circle import PI, Colouring, Mixture, ValidationError, new_colouring, triangle_colouring
 from .correlation import (
@@ -82,6 +80,8 @@ def _distance(pl: PiecewiseLinearCorrelation, metric: str) -> float:
 
 
 def _theta_from_params(z: np.ndarray) -> np.ndarray:
+    from scipy.special import expit  # scipy loads only when an optimiser runs
+
     # clip keeps saturated logistic values strictly inside (0, 1)
     return np.sort(np.clip(expit(z), 1e-12, 1.0 - 1e-12)) * PI
 
@@ -149,6 +149,8 @@ def optimise_fixed_k(
     (0, pi) are penalised and the count of monotone-feasible starts is
     reported; NoFeasiblePoint is raised if no start ends feasible.
     """
+    from scipy.optimize import minimize
+
     if k < 0 or k % 2 != 0:
         raise ValidationError(f"k must be even and >= 0, got {k}")
     constraint = "monotone" if monotone else "none"
@@ -233,6 +235,7 @@ def _linear_subproblem(
     max_iter: int,
 ) -> tuple[Colouring, float]:
     """Approximately minimise <rho_m + cos, rho_c> over single colourings."""
+    from scipy.optimize import minimize
 
     def lin_value(c: Colouring) -> float:
         pl = exact_correlation(c)

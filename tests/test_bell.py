@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindisk import (
     CHSHSettings,
@@ -13,10 +15,21 @@ from spindisk import (
     triangle_colouring,
 )
 
-from conftest import random_mixture
+from chsh_oracle import looped_chsh_scan
+from conftest import colourings, mixtures, random_mixture
 
 PI = math.pi
 CANONICAL = CHSHSettings(0.0, PI / 2, PI / 4, 3 * PI / 4)
+
+# Grid steps: divisors of 2*pi, non-divisors, and n = 2 (4.0) and n = 1 (5.0, 2*pi).
+SCAN_STEPS = st.sampled_from(
+    [PI / 90, PI / 360, PI / 4, PI / 2, 0.5, 1.0, 3.0, 7.0, 10.0, 4.0, 5.0, 2 * PI]
+)
+CURVES = st.one_of(
+    colourings(16).map(exact_correlation),
+    mixtures().map(mixture_correlation),
+    st.just(quantum_correlation),
+)
 
 
 class TestQuantumCorrelation:
@@ -74,3 +87,20 @@ class TestCHSHScan:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             chsh_scan(quantum_correlation, 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(CURVES, SCAN_STEPS)
+    def test_matches_loop_oracle(self, rho, step):
+        # Same max, min and single add per element as the loop: equal
+        # floats and the same tie-breaking, not just close values.
+        assert chsh_scan(rho, step) == looped_chsh_scan(rho, step)
+
+    def test_memory_is_row_blocked(self, rng):
+        pl = mixture_correlation(random_mixture(rng))
+        tracemalloc.start()
+        try:
+            chsh_scan(pl, PI / 900)  # n = 1800; an n x n temporary alone is 26 MB
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,3 +188,49 @@ class TestChsh:
         result = runner.invoke(main, ["chsh", "--quantum", "--scan-step", str(PI / 90)])
         payload = json.loads(result.output)
         assert payload["max_abs_S"] >= 2 * math.sqrt(2) - 1e-3
+
+
+@pytest.mark.parametrize("args", [
+    ["chsh", "--quantum", "--scan-step", "0"],
+    ["chsh", "--quantum", "--scan-step", "-1"],
+    ["sim", "--quantum", "--runs", "0"],
+    ["spectrum", "MODEL", "--nmax", "0"],
+    ["spectrum", "MODEL", "--nmax", "-1"],
+    ["optimize", "--pool", "0,x"],
+])
+def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, args):
+    result = runner.invoke(main, [model_file if a == "MODEL" else a for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ValidationError: ")
+    assert result.stderr.count("\n") == 1
+
+
+def _traced_growth(invoke, times):
+    invoke()  # first-call caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(times):
+            invoke()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before
+
+
+def test_discarded_invocations_do_not_keep_their_output(model_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+
+    def corr(path, status):
+        def invoke():
+            assert CliRunner().invoke(main, ["corr", path]).exit_code == status
+        return invoke
+
+    # A kept stream holds its output twice: ~120 KB per corr output, and
+    # ~1.7 KB per error line with its stream's buffers.
+    assert _traced_growth(corr(model_file, 0), 50) < 2**20
+    assert _traced_growth(corr(str(bad), 2), 200) < 100 * 2**10
