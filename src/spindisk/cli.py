@@ -132,6 +132,8 @@ def main() -> None:
 @_fail_cleanly
 def cmd_corr(model_file: str, grid: int, out: str) -> None:
     """Exact correlation curve of a model, with -cos and triangle overlays."""
+    if grid < 1:
+        raise ValidationError(f"--grid must be >= 1, got {grid}")
     pl = mixture_correlation(as_mixture(_load_model(model_file)))
     _write_text(out, _curve_csv(_header("corr", model=model_file, grid=grid), pl, grid))
 
@@ -149,6 +151,8 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
         raise ValidationError(f"--nswitch must be even and >= 0, got {nswitch}")
     if panels < 1:
         raise ValidationError("--panels must be >= 1")
+    if grid < 1:
+        raise ValidationError(f"--grid must be >= 1, got {grid}")
     os.makedirs(outdir, exist_ok=True)
     rng = np.random.default_rng(seed)
     for p in range(1, panels + 1):

@@ -8,6 +8,13 @@ point masses J_i * J_j / (2*pi) at the pairwise differences f_j - f_i
 (mod 2*pi), and rho'(0+) = (2k+2)/pi: rho is piecewise linear with kinks
 exactly there.  Summing the sorted kink weights twice gives the curve in
 O(k^2 log k) time and O(k^2) memory, which is then integrated in closed form.
+
+The curve is built in three steps: _kinks collects the kink positions and
+weights, _half_curve sums them into breakpoints and values on [0, pi], and
+evenness reflects those onto the full period.  The L2 and sup distances
+are one-pass formulas over piecewise-linear arrays; the public functions
+apply them to a curve's full-period pieces, and the L2 optimiser to the
+half-period arrays, which give the same mean because rho and cos are even.
 """
 from __future__ import annotations
 
@@ -63,24 +70,25 @@ class PiecewiseLinearCorrelation:
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-piece (g0, g1, slope, intercept) arrays covering [0, 2*pi]."""
-        bp, val = self._extended()
-        g0, g1 = bp[:-1], bp[1:]
-        slope = (val[1:] - val[:-1]) / (g1 - g0)
-        intercept = val[:-1] - slope * g0
-        return g0, g1, slope, intercept
+        return _pieces(*self._extended())
 
 
-def _kink_curve(components) -> PiecewiseLinearCorrelation:
-    """rho = sum_c w_c * rho_c over (w_c, colouring) pairs, from kink weights.
+def _pieces(bps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-piece (g0, g1, slope, intercept) of the line segments through (bps, values)."""
+    g0, g1 = bps[:-1], bps[1:]
+    slope = (values[1:] - values[:-1]) / (g1 - g0)
+    intercept = values[:-1] - slope * g0
+    return g0, g1, slope, intercept
 
-    Component c has kinks of weight w_c * J_i * J_j / (2*pi) at its nonzero
-    switch differences; its zero differences are the kink at 0 behind
-    rho'(0+).  Each weight goes to the last breakpoint at or below
-    d + ANGLE_TOL, so near-equal differences that dedupe merged, such as a
-    switch pair's and its antipodal copy's, share one breakpoint and lose
-    no weight.  The curve is built on [0, pi] with rho(0) = -1 and
-    rho(pi) = +1 exact; evenness fills (pi, 2*pi).  Slopes are summed in
-    units of 1/(2*pi), in which a single colouring's are exact integers.
+
+def _kinks(components) -> tuple[np.ndarray, np.ndarray, float]:
+    """Kink positions, kink weights and initial slope of sum_c w_c * rho_c.
+
+    Component c has kinks of weight w_c * J_i * J_j at its nonzero switch
+    differences d in (0, pi - ANGLE_TOL); kinks at pi - ANGLE_TOL or later
+    do not shape [0, pi].  Its zero differences are the kink at 0 behind
+    rho'(0+), returned as slope0.  Weights and slope0 are in units of
+    1/(2*pi), in which a single colouring's are exact integers.
     """
     diffs, weights = [], []
     slope0 = 0.0
@@ -88,22 +96,41 @@ def _kink_curve(components) -> PiecewiseLinearCorrelation:
         f = np.array(full_switch_set(c))
         jumps = 2.0 - 4.0 * (np.arange(f.size) % 2)
         d = np.remainder(f[None, :] - f[:, None], TWO_PI)
-        # kinks at pi - ANGLE_TOL or later do not shape [0, pi]
         keep = (d > 0.0) & (d < PI - ANGLE_TOL)
         diffs.append(d[keep])
         weights.append((w * np.outer(jumps, jumps))[keep])
         slope0 += w * 2.0 * f.size
-    d = np.concatenate(diffs)
+    return np.concatenate(diffs), np.concatenate(weights), slope0
+
+
+def _half_curve(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and values of rho on [0, pi] from the output of _kinks.
+
+    Each weight goes to the last breakpoint at or below d + ANGLE_TOL, so
+    near-equal differences that dedupe merged, such as a switch pair's and
+    its antipodal copy's, share one breakpoint and lose no weight.
+    rho(0) = -1 and rho(pi) = +1 are exact.
+    """
     bps = _dedupe_sorted(np.sort(np.concatenate(([0.0], d, [PI]))))
     idx = np.searchsorted(bps, d + ANGLE_TOL, "right") - 1
-    kinks = np.bincount(idx, weights=np.concatenate(weights), minlength=bps.size)
+    kinks = np.bincount(idx, weights=w, minlength=bps.size)
     slopes = slope0 + np.cumsum(kinks[:-1])
     values = np.clip(np.append(0.0, np.cumsum(slopes * np.diff(bps))) / TWO_PI - 1.0, -1.0, 1.0)
     values[-1] = 1.0
-    return PiecewiseLinearCorrelation(
+    return bps, values
+
+
+def _full_period(bps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and values on [0, 2*pi) from those on [0, pi], by evenness."""
+    return (
         np.concatenate((bps, TWO_PI - bps[-2:0:-1])),
         np.concatenate((values, values[-2:0:-1])),
     )
+
+
+def _kink_curve(components) -> PiecewiseLinearCorrelation:
+    """rho = sum_c w_c * rho_c over (w_c, colouring) pairs, from kink weights."""
+    return PiecewiseLinearCorrelation(*_full_period(*_half_curve(*_kinks(components))))
 
 
 def exact_correlation(c: Colouring) -> PiecewiseLinearCorrelation:
@@ -150,19 +177,33 @@ def cosine_inner_product(p: PiecewiseLinearCorrelation) -> float:
     return float(np.sum(upper - lower) / TWO_PI)
 
 
-def l2_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:
-    """L2 distance D with D^2 = (1/2*pi) * integral of (rho + cos)^2."""
-    d2 = inner_product(p, p) + 2.0 * cosine_inner_product(p) + 0.5
+def _l2_distance(bps: np.ndarray, values: np.ndarray) -> float:
+    """L2 distance to -cos of the continuous rho through (bps, values).
+
+    bps spans [0, pi] or [0, 2*pi]; rho and cos are even, so both give the
+    full-period mean.  Per piece of slope a, the integral of rho^2 is
+    dg * (v0^2 + v0*v1 + v1^2) / 3 and that of rho*cos is [v*sin] + a*[cos];
+    [v*sin] telescopes because rho is continuous.  The mean of cos^2 over
+    either interval is 1/2.
+    """
+    dg = np.diff(bps)
+    v0, v1 = values[:-1], values[1:]
+    rr = np.dot(dg, v0 * v0 + v0 * v1 + v1 * v1) / 3.0
+    rc = (
+        values[-1] * math.sin(bps[-1]) - values[0] * math.sin(bps[0])
+        + np.dot((v1 - v0) / dg, np.diff(np.cos(bps)))
+    )
+    d2 = (rr + 2.0 * rc) / (bps[-1] - bps[0]) + 0.5
     return math.sqrt(max(d2, 0.0))
 
 
-def sup_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:
-    """max over gamma of |rho(gamma) + cos(gamma)|, exact per piece.
+def _sup_distance(bps: np.ndarray, values: np.ndarray) -> float:
+    """max |rho + cos| of the continuous rho through (bps, values), exact per piece.
 
     On each piece h(g) = a*g + b + cos g is stationary where sin g = a, so
     the maximum is attained at a piece endpoint or such a root.
     """
-    g0, g1, a, b = p.pieces()
+    g0, g1, a, b = _pieces(bps, values)
     base = np.arcsin(np.clip(a, -1.0, 1.0))
     cands = [g0, g1]
     for root in (base, PI - base):
@@ -174,6 +215,16 @@ def sup_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:
     h = np.abs(a[:, None] * cand + b[:, None] + np.cos(cand))
     h[~inside] = 0.0
     return float(h.max())
+
+
+def l2_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:
+    """L2 distance D with D^2 = (1/2*pi) * integral of (rho + cos)^2."""
+    return _l2_distance(*p._extended())
+
+
+def sup_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:
+    """max over gamma of |rho(gamma) + cos(gamma)|, exact per piece."""
+    return _sup_distance(*p._extended())
 
 
 def check_invariants(p: PiecewiseLinearCorrelation, tol: float = 1e-12, grid: int = 1000) -> None:

@@ -6,19 +6,36 @@ constraint is structural.  Mixture search runs Frank-Wolfe over the convex
 hull of single-colouring correlations: the L2 objective is quadratic, so
 each convex step is line-searched in closed form.
 
+The objectives the simplex evaluates build no curve object.  A fixed-k
+evaluation takes the colouring's breakpoints and values on [0, pi] from
+its kink weights and measures them in one pass: rho and cos are even, so
+the half period gives the full-period L2 distance (the sup distance is
+taken over the reflected full period).  The Frank-Wolfe
+subproblem value <rho_c, rho_m + cos> is linear in rho_c; twice
+integrated by parts it is a dot product of the colouring's kink weights
+with a piecewise-cubic table built once per subproblem.  Reported
+distances, the Frank-Wolfe step and the mixture bookkeeping use the
+public curve functions.
+
 Whether any mixture beats the triangle wave is an open question; these
 routines report what they find and never assert optimality.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import PI, Colouring, Mixture, ValidationError, new_colouring, triangle_colouring
+from .circle import PI, TWO_PI, Colouring, Mixture, ValidationError, new_colouring, triangle_colouring
 from .correlation import (
     PiecewiseLinearCorrelation,
+    _full_period,
+    _half_curve,
+    _kinks,
+    _l2_distance,
+    _sup_distance,
     cosine_inner_product,
     exact_correlation,
     inner_product,
@@ -34,6 +51,10 @@ from .spectral import FIRST_HARMONIC_COEFF_BOUND
 MIN_L2_DISTANCE = (1.0 + FIRST_HARMONIC_COEFF_BOUND) / math.sqrt(2.0)
 
 _COLLAPSE_TOL = 1e-9
+
+#: A correlation whose negative slopes on (0, pi) sum to more than this is
+#: not monotone.
+_MONOTONE_TOL = 1e-12
 
 
 class InfeasibleStart(RuntimeError):
@@ -71,14 +92,6 @@ class OptimizationResult:
         return d
 
 
-def _distance(pl: PiecewiseLinearCorrelation, metric: str) -> float:
-    if metric == "L2":
-        return l2_distance_to_cosine(pl)
-    if metric == "sup":
-        return sup_distance_to_cosine(pl)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _theta_from_params(z: np.ndarray) -> np.ndarray:
     from scipy.special import expit  # scipy loads only when an optimiser runs
 
@@ -104,19 +117,34 @@ def _colouring_from_theta(theta: np.ndarray) -> Colouring:
     return new_colouring(th)
 
 
-def _is_monotone(pl: PiecewiseLinearCorrelation, tol: float = 1e-12) -> bool:
-    """All linear-piece slopes on (0, pi) non-negative (rho runs -1 -> +1)."""
-    g0, g1, slope, _ = pl.pieces()
-    mid = 0.5 * (g0 + g1)
-    inside = mid < PI
-    return bool(np.all(slope[inside] >= -tol))
+def _half(c: Colouring) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and values of rho_c on [0, pi], without a curve object."""
+    return _half_curve(*_kinks(((1.0, c),)))
 
 
-def _monotone_violation(pl: PiecewiseLinearCorrelation) -> float:
-    g0, g1, slope, _ = pl.pieces()
-    mid = 0.5 * (g0 + g1)
-    neg = np.clip(-slope[mid < PI], 0.0, None)
-    return float(neg.sum())
+def _monotone_violation(bps: np.ndarray, values: np.ndarray) -> float:
+    """Sum of the negative slopes of rho on [0, pi] (0 when rho runs -1 -> +1)."""
+    return float(np.clip(-np.diff(values) / np.diff(bps), 0.0, None).sum())
+
+
+def _sup_objective(bps: np.ndarray, values: np.ndarray) -> float:
+    """Sup distance of the half-period arrays, taken over the full period.
+
+    The half period has the same maximum, but near the triangle wave its
+    value dips one ulp below the triangle's more often, and the simplex,
+    whose fatol is far below one ulp, chases those dips (4.4 times the
+    evaluations over 30 seeds at k = 2).  Over the full period the value
+    is the reported distance's, bit for bit.
+    """
+    bps, values = _full_period(bps, values)
+    return _sup_distance(np.append(bps, TWO_PI), np.append(values, values[0]))
+
+
+#: metric -> (distance of a curve, distance from half-period arrays)
+_METRICS = {
+    "L2": (l2_distance_to_cosine, _l2_distance),
+    "sup": (sup_distance_to_cosine, _sup_objective),
+}
 
 
 def _guard_lower_bound(distance: float) -> None:
@@ -153,11 +181,16 @@ def optimise_fixed_k(
 
     if k < 0 or k % 2 != 0:
         raise ValidationError(f"k must be even and >= 0, got {k}")
+    if n_starts < 1:
+        raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
+    if metric not in _METRICS:
+        raise ValidationError(f"unknown metric {metric!r}")
+    curve_distance, half_distance = _METRICS[metric]
     constraint = "monotone" if monotone else "none"
 
     if k == 0:
         c = triangle_colouring()
-        d = _distance(exact_correlation(c), metric)
+        d = curve_distance(exact_correlation(c))
         _guard_lower_bound(d)
         return OptimizationResult(
             _single_model(c), d, metric, [(0, d)], constraint,
@@ -165,13 +198,11 @@ def optimise_fixed_k(
         )
 
     def objective(z: np.ndarray) -> float:
-        theta = _theta_from_params(z)
-        c = _colouring_from_theta(theta)
-        pl = exact_correlation(c)
-        d = _distance(pl, metric)
+        bps, values = _half(_colouring_from_theta(_theta_from_params(z)))
+        d = half_distance(bps, values)
         if monotone:
-            v = _monotone_violation(pl)
-            if v > 1e-12:
+            v = _monotone_violation(bps, values)
+            if v > _MONOTONE_TOL:
                 d += 1e3 + v
         return d
 
@@ -193,7 +224,7 @@ def optimise_fixed_k(
             raise InfeasibleStart(
                 f"no non-degenerate start found for k={k} after 100 draws"
             )
-        if monotone and _is_monotone(exact_correlation(_colouring_from_theta(_theta_from_params(z0)))):
+        if monotone and _monotone_violation(*_half(_colouring_from_theta(theta))) <= _MONOTONE_TOL:
             feasible_starts += 1
 
         res = minimize(
@@ -203,12 +234,11 @@ def optimise_fixed_k(
             options={"xatol": tol, "fatol": tol * tol, "maxiter": max_iter, "maxfev": 4 * max_iter},
         )
         c = _colouring_from_theta(_theta_from_params(res.x))
-        pl = exact_correlation(c)
-        if monotone and not _is_monotone(pl):
+        if monotone and _monotone_violation(*_half(c)) > _MONOTONE_TOL:
             if best_d < math.inf:
                 trace.append((start, best_d))
             continue
-        d = _distance(pl, metric)
+        d = curve_distance(exact_correlation(c))
         if d < best_d:
             best_d, best_c = d, c
         trace.append((start, best_d))
@@ -227,6 +257,41 @@ def monotone_search(k: int, n_starts: int = 32, seed: int = 0, metric: str = "L2
     return optimise_fixed_k(k, metric=metric, n_starts=n_starts, seed=seed, monotone=True)
 
 
+def _linear_value(rho_m: PiecewiseLinearCorrelation) -> Callable[[Colouring], float]:
+    """c -> <rho_c, rho_m + cos>, the Frank-Wolfe subproblem's objective.
+
+    Let G1 and G2 be the first and second antiderivatives from 0 of
+    g = rho_m + cos on [0, pi].  Integrating by parts twice, with
+    rho_c(0) = -1, rho_c(pi) = 1, rho_c'(0+) = rho_c'(pi-) = s and
+    rho_c'' = sum of w / (2*pi) at the kinks d,
+
+        <rho_c, g> = (G1(pi) - s*G2(pi) + sum w*G2(d) / (2*pi)) / pi,
+
+    both functions being even.  G2 is piecewise cubic on rho_m's grid plus
+    1 - cos, so each evaluation is the colouring's kinks, one searchsorted
+    and one dot product: no curve is built.
+    """
+    half = rho_m.breakpoints <= PI
+    bm, vm = rho_m.breakpoints[half], rho_m.values[half]
+    dg = np.diff(bm)
+    am = np.diff(vm) / dg
+    # integrals of rho_m and of its antiderivative from 0 to each breakpoint
+    r1 = np.append(0.0, np.cumsum(dg * (vm[:-1] + vm[1:]) / 2.0))
+    r2 = np.append(0.0, np.cumsum(dg * (r1[:-1] + dg * (vm[:-1] / 2.0 + dg * am / 6.0))))
+    c0, c1, c2, c3 = r2[:-1], r1[:-1], vm[:-1] / 2.0, am / 6.0
+    g1_pi = r1[-1]  # + sin(pi) = 0
+    g2_pi = r2[-1] + 2.0  # + 1 - cos(pi)
+
+    def lin_value(c: Colouring) -> float:
+        d, w, slope0 = _kinks(((1.0, c),))
+        j = np.searchsorted(bm, d, "right") - 1
+        t = d - bm[j]
+        g2 = c0[j] + t * (c1[j] + t * (c2[j] + t * c3[j])) + 1.0 - np.cos(d)
+        return float(g1_pi - slope0 / TWO_PI * g2_pi + np.dot(w, g2) / TWO_PI) / PI
+
+    return lin_value
+
+
 def _linear_subproblem(
     rho_m: PiecewiseLinearCorrelation,
     pool_ks: list[int],
@@ -237,10 +302,7 @@ def _linear_subproblem(
     """Approximately minimise <rho_m + cos, rho_c> over single colourings."""
     from scipy.optimize import minimize
 
-    def lin_value(c: Colouring) -> float:
-        pl = exact_correlation(c)
-        return inner_product(pl, rho_m) + cosine_inner_product(pl)
-
+    lin_value = _linear_value(rho_m)
     best_c = triangle_colouring()
     best_v = lin_value(best_c)
     rng = np.random.default_rng(seed)
@@ -283,22 +345,21 @@ def optimise_mixture(
     convex-quadratic case with a closed-form step.
     """
     if metric != "L2":
-        raise ValueError("mixture optimisation requires the L2 metric")
+        raise ValidationError(f"mixture optimisation requires the L2 metric, got {metric!r}")
     if n_iterations < 1:
-        raise ValueError("n_iterations must be >= 1")
+        raise ValidationError(f"n_iterations must be >= 1, got {n_iterations}")
+    if subproblem_starts < 1:
+        raise ValidationError(f"subproblem_starts must be >= 1, got {subproblem_starts}")
     pool = sorted(set(int(k) for k in pool_ks))
     for k in pool:
         if k < 0 or k % 2 != 0:
             raise ValidationError(f"pool entries must be even and >= 0, got {k}")
 
-    # weights and cached exact curves per component
-    comps: list[tuple[Colouring, PiecewiseLinearCorrelation]] = [
-        (triangle_colouring(), exact_correlation(triangle_colouring()))
-    ]
+    comps: list[Colouring] = [triangle_colouring()]
     weights = [1.0]
 
     def current_mixture() -> Mixture:
-        return Mixture(tuple((w, c) for w, (c, _) in zip(weights, comps)))
+        return Mixture(tuple(zip(weights, comps)))
 
     rho_m = mixture_correlation(current_mixture())
     best_d = l2_distance_to_cosine(rho_m)
@@ -328,12 +389,12 @@ def optimise_mixture(
             continue
 
         weights = [w * (1.0 - step) for w in weights]
-        for i, (c, _) in enumerate(comps):
+        for i, c in enumerate(comps):
             if c.switches == c_new.switches:
                 weights[i] += step
                 break
         else:
-            comps.append((c_new, pl_new))
+            comps.append(c_new)
             weights.append(step)
 
         # prune negligible weights, renormalise to machine precision

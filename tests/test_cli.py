@@ -197,9 +197,19 @@ class TestChsh:
     ["spectrum", "MODEL", "--nmax", "0"],
     ["spectrum", "MODEL", "--nmax", "-1"],
     ["optimize", "--pool", "0,x"],
+    ["optimize", "--pool", "0,2", "--iterations", "0"],
+    ["optimize", "--pool", "0,2", "--metric", "sup"],
+    ["optimize", "--pool", "0,2", "--starts", "0"],
+    ["optimize", "--k", "2", "--starts", "0"],
+    ["optimize", "--k", "2", "--starts", "-3"],
+    ["optimize", "--k", "2", "--monotone", "--starts", "0"],
+    ["corr", "MODEL", "--grid", "0"],
+    ["corr", "MODEL", "--grid", "-1"],
+    ["demo-figure", "--grid", "0", "--outdir", "DIR"],
 ])
-def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, args):
-    result = runner.invoke(main, [model_file if a == "MODEL" else a for a in args])
+def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
+    placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}
+    result = runner.invoke(main, [placeholders.get(a, a) for a in args])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ValidationError: ")

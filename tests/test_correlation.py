@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from spindisk import (
@@ -15,9 +15,13 @@ from spindisk import (
     sup_distance_to_cosine,
     triangle_colouring,
 )
-from spindisk.circle import ANGLE_TOL
+from spindisk.circle import ANGLE_TOL, as_mixture
 from spindisk.correlation import (
     PiecewiseLinearCorrelation,
+    _half_curve,
+    _kinks,
+    _l2_distance,
+    _sup_distance,
     check_invariants,
     cosine_inner_product,
     inner_product,
@@ -173,6 +177,25 @@ class TestL2Distance:
         for _ in range(10):
             pl = mixture_correlation(random_mixture(rng))
             assert l2_distance_to_cosine(pl) >= MIN_L2_DISTANCE - 1e-12
+
+
+class TestOnePassMetrics:
+    """The one-pass metrics against the inner products and the full curve."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(colourings(16), mixtures()))
+    def test_l2_matches_inner_products(self, model):
+        p = mixture_correlation(model)
+        want = math.sqrt(inner_product(p, p) + 2.0 * cosine_inner_product(p) + 0.5)
+        assert abs(l2_distance_to_cosine(p) - want) <= 1e-11
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(colourings(16), mixtures()))
+    def test_half_period_matches_reflected_curve(self, model):
+        half = _half_curve(*_kinks(as_mixture(model).components))
+        p = mixture_correlation(model)
+        assert abs(_l2_distance(*half) - l2_distance_to_cosine(p)) <= 1e-12
+        assert abs(_sup_distance(*half) - sup_distance_to_cosine(p)) <= 1e-12
 
 
 class TestSupDistance:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindisk import (
     MIN_L2_DISTANCE,
@@ -15,11 +16,27 @@ from spindisk import (
     sup_distance_to_cosine,
     triangle_colouring,
 )
-from spindisk.correlation import check_invariants
-from spindisk.optimize import _is_monotone
+import spindisk.optimize
+from spindisk.circle import as_mixture
+from spindisk.correlation import (
+    _half_curve,
+    _kinks,
+    check_invariants,
+    cosine_inner_product,
+    inner_product,
+)
+from spindisk.optimize import _MONOTONE_TOL, _linear_value, _monotone_violation, _sup_objective
+
+from conftest import colourings, mixtures
 
 PI = math.pi
 D_TRIANGLE = math.sqrt(5 / 6 - 8 / PI**2)
+
+
+def is_monotone(model):
+    """rho of a colouring or mixture is non-decreasing on (0, pi)."""
+    half = _half_curve(*_kinks(as_mixture(model).components))
+    return _monotone_violation(*half) <= _MONOTONE_TOL
 
 
 def trace_is_non_increasing(trace):
@@ -68,6 +85,23 @@ class TestFixedK:
         with pytest.raises(ValidationError):
             optimise_fixed_k(3)
 
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    @pytest.mark.parametrize("monotone", [False, True])
+    def test_no_starts_rejected(self, n_starts, monotone):
+        with pytest.raises(ValidationError, match="n_starts"):
+            optimise_fixed_k(2, n_starts=n_starts, monotone=monotone)
+
+    def test_objective_builds_no_curves(self, monkeypatch):
+        built = []
+
+        def counting(c):
+            built.append(c)
+            return exact_correlation(c)
+
+        monkeypatch.setattr(spindisk.optimize, "exact_correlation", counting)
+        optimise_fixed_k(2, n_starts=2)
+        assert len(built) < 10
+
 
 class TestMonotone:
     def test_k0_feasible(self):
@@ -77,7 +111,7 @@ class TestMonotone:
 
     def test_k2_result_is_monotone(self):
         res = monotone_search(2, n_starts=8, seed=1)
-        assert _is_monotone(mixture_correlation(res.best_model))
+        assert is_monotone(res.best_model)
         assert res.feasible_starts is not None
         assert res.distance >= MIN_L2_DISTANCE - 1e-9
 
@@ -86,7 +120,29 @@ class TestMonotone:
         from spindisk import new_colouring
 
         c = new_colouring([0.3, 2.8])
-        assert not _is_monotone(exact_correlation(c))
+        assert not is_monotone(c)
+
+
+class TestArrayObjectives:
+    """The objectives on half-period arrays against the public curve path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(colourings(16), mixtures()))
+    def test_half_array_objectives_match_curve(self, model):
+        half = _half_curve(*_kinks(as_mixture(model).components))
+        pl = mixture_correlation(model)
+        g0, g1, slope, _ = pl.pieces()
+        want = np.clip(-slope[0.5 * (g0 + g1) < PI], 0.0, None).sum()
+        assert abs(_monotone_violation(*half) - want) <= 1e-12
+        assert _sup_objective(*half) == sup_distance_to_cosine(pl)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixtures(), colourings(16))
+    def test_frank_wolfe_value_matches_inner_products(self, m, c):
+        rho_m = mixture_correlation(m)
+        pl = exact_correlation(c)
+        want = inner_product(pl, rho_m) + cosine_inner_product(pl)
+        assert abs(_linear_value(rho_m)(c) - want) <= 1e-12
 
 
 class TestMixture:
@@ -110,6 +166,11 @@ class TestMixture:
     def test_sup_metric_rejected(self):
         with pytest.raises(ValueError):
             optimise_mixture([0, 2], metric="sup")
+
+    @pytest.mark.parametrize("kwargs", [{"n_iterations": 0}, {"subproblem_starts": 0}])
+    def test_empty_search_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            optimise_mixture([0, 2], **kwargs)
 
     def test_result_json_round_trip(self):
         import json
