@@ -81,6 +81,18 @@ def _pieces(bps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return g0, g1, slope, intercept
 
 
+def _differences(c: Colouring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Switch differences, jumps and kink mask of one colouring.
+
+    Entry (i, j) of the first array is f_j - f_i mod 2*pi over the full
+    switch set f, the second holds the jumps J_i = +-2, and the mask keeps
+    the kinks that shape [0, pi]: the differences in (0, pi - ANGLE_TOL).
+    """
+    f = np.array(full_switch_set(c))
+    d = np.remainder(f[None, :] - f[:, None], TWO_PI)
+    return d, 2.0 - 4.0 * (np.arange(f.size) % 2), (d > 0.0) & (d < PI - ANGLE_TOL)
+
+
 def _kinks(components) -> tuple[np.ndarray, np.ndarray, float]:
     """Kink positions, kink weights and initial slope of sum_c w_c * rho_c.
 
@@ -93,13 +105,10 @@ def _kinks(components) -> tuple[np.ndarray, np.ndarray, float]:
     diffs, weights = [], []
     slope0 = 0.0
     for w, c in components:
-        f = np.array(full_switch_set(c))
-        jumps = 2.0 - 4.0 * (np.arange(f.size) % 2)
-        d = np.remainder(f[None, :] - f[:, None], TWO_PI)
-        keep = (d > 0.0) & (d < PI - ANGLE_TOL)
+        d, jumps, keep = _differences(c)
         diffs.append(d[keep])
         weights.append((w * np.outer(jumps, jumps))[keep])
-        slope0 += w * 2.0 * f.size
+        slope0 += w * 2.0 * jumps.size
     return np.concatenate(diffs), np.concatenate(weights), slope0
 
 

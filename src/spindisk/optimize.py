@@ -1,19 +1,26 @@
 """Search for the classical correlation closest to the quantum -cos curve.
 
-Single-colouring search runs a multi-start Nelder-Mead simplex over switch
-angles, parametrised through a sorted logistic map so the ordering
-constraint is structural.  Mixture search runs Frank-Wolfe over the convex
-hull of single-colouring correlations: the L2 objective is quadratic, so
-each convex step is line-searched in closed form.
+Single-colouring search is multi-start over switch angles, parametrised
+through a sorted logistic map so the ordering constraint is structural.
+Mixture search runs Frank-Wolfe over the convex hull of single-colouring
+correlations: the L2 objective is quadratic, so each convex step is
+line-searched in closed form.
 
-The objectives the simplex evaluates build no curve object.  A fixed-k
-evaluation takes the colouring's breakpoints and values on [0, pi] from
-its kink weights and measures them in one pass: rho and cos are even, so
-the half period gives the full-period L2 distance (the sup distance is
-taken over the reflected full period).  The Frank-Wolfe
-subproblem value <rho_c, rho_m + cos> is linear in rho_c; twice
-integrated by parts it is a dot product of the colouring's kink weights
-with a piecewise-cubic table built once per subproblem.  Reported
+The objectives build no curve object.  A fixed-k evaluation takes the
+colouring's breakpoints and values on [0, pi] from its kink weights and
+measures them in one pass: rho and cos are even, so the half period
+gives the full-period L2 distance (the sup distance is taken over the
+reflected full period).  The Frank-Wolfe subproblem value
+<rho_c, rho_m + cos> is linear in rho_c; twice integrated by parts it is
+a dot product of the colouring's kink weights with a piecewise-cubic
+table built once per subproblem.
+
+The smooth searches, fixed-k L2 and the Frank-Wolfe subproblem, run
+L-BFGS-B on the exact gradient: each objective's derivative in the kink
+positions (one cumulative integral, or one more Horner step of the
+table) is chained through the switch differences and the logistic map.
+The sup metric, a max, and the monotone penalty, which jumps, have no
+gradient and run the Nelder-Mead simplex on the value alone.  Reported
 distances, the Frank-Wolfe step and the mixture bookkeeping use the
 public curve functions.
 
@@ -28,9 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import PI, TWO_PI, Colouring, Mixture, ValidationError, new_colouring, triangle_colouring
+from .circle import ANGLE_TOL, PI, TWO_PI, Colouring, Mixture, ValidationError, new_colouring, triangle_colouring
 from .correlation import (
     PiecewiseLinearCorrelation,
+    _differences,
     _full_period,
     _half_curve,
     _kinks,
@@ -55,6 +63,16 @@ _COLLAPSE_TOL = 1e-9
 #: A correlation whose negative slopes on (0, pi) sum to more than this is
 #: not monotone.
 _MONOTONE_TOL = 1e-12
+
+#: Absolute fatol of the Nelder-Mead searches: some 36 ulp of a distance
+#: near 0.2, so a simplex stops instead of chasing last-bit differences.
+_FATOL = 1e-15
+
+#: Logistic values are clipped to [_CLIP, 1 - _CLIP], strictly inside (0, 1).
+_CLIP = 1e-12
+
+#: (d, w, slope0) of one colouring's kinks -> (value, derivative in each d)
+_KinkObjective = Callable[[np.ndarray, np.ndarray, float], tuple[float, np.ndarray]]
 
 
 class InfeasibleStart(RuntimeError):
@@ -95,26 +113,93 @@ class OptimizationResult:
 def _theta_from_params(z: np.ndarray) -> np.ndarray:
     from scipy.special import expit  # scipy loads only when an optimiser runs
 
-    # clip keeps saturated logistic values strictly inside (0, 1)
-    return np.sort(np.clip(expit(z), 1e-12, 1.0 - 1e-12)) * PI
+    return np.sort(np.clip(expit(z), _CLIP, 1.0 - _CLIP)) * PI
 
 
-def _colouring_from_theta(theta: np.ndarray) -> Colouring:
-    """Build a colouring, collapsing switch pairs that have (numerically) merged.
+def _surviving(theta: list[float]) -> list[int]:
+    """Indices of the sorted switches left after dropping (numerically) merged pairs.
 
     A pair of coincident switches bounds a zero-length segment and is a
     no-op, so dropping both is exact in the limit; this lets the search
     walk onto lower-k boundary strata such as the triangle wave.
     """
-    th = list(theta)
+    keep = list(range(len(theta)))
     i = 0
-    while i < len(th) - 1:
-        if th[i + 1] - th[i] < _COLLAPSE_TOL:
-            del th[i : i + 2]
+    while i < len(keep) - 1:
+        if theta[keep[i + 1]] - theta[keep[i]] < _COLLAPSE_TOL:
+            del keep[i : i + 2]
             i = max(i - 1, 0)
         else:
             i += 1
-    return new_colouring(th)
+    return keep
+
+
+def _colouring_from_theta(theta: np.ndarray) -> Colouring:
+    """Build a colouring from sorted switch angles, collapsing merged pairs."""
+    th = theta.tolist()
+    return new_colouring([th[i] for i in _surviving(th)])
+
+
+def _with_gradient(kink_objective: _KinkObjective) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """z -> (value, gradient) of an objective of one colouring's kinks.
+
+    kink_objective(d, w, slope0) returns the value and its derivative in
+    each kink position.  The colouring is the one _colouring_from_theta
+    builds from _theta_from_params(z), so the value is the value-only
+    objective's, bit for bit.  Kink d = f_j - f_i of the full switch set f
+    moves with +1 times f_j and -1 times f_i.  A switch and its copy at
+    +pi share one theta; the forced switches at 0 and pi, the switches of
+    a collapsed pair and clipped logistic entries move nothing.  The chain
+    ends in theta = pi * sort(expit(z)), whose derivative is pi*s*(1 - s).
+    """
+    from scipy.special import expit
+
+    def value_and_grad(z: np.ndarray) -> tuple[float, np.ndarray]:
+        k = z.size
+        s = expit(z)
+        clipped = np.clip(s, _CLIP, 1.0 - _CLIP)
+        order = np.argsort(clipped)
+        th = (clipped[order] * PI).tolist()
+        keep = _surviving(th)
+        diffs, jumps, mask = _differences(new_colouring([th[m] for m in keep]))
+        i, j = np.nonzero(mask)
+        value, dd = kink_objective(diffs[i, j], jumps[i] * jumps[j], 2.0 * jumps.size)
+        owner = np.array([k, *keep, k, *keep])
+        dtheta = np.bincount(owner[j], dd, k + 1) - np.bincount(owner[i], dd, k + 1)
+        grad = np.empty(k)
+        grad[order] = dtheta[:k] * (PI * np.where(s == clipped, s * (1.0 - s), 0.0))[order]
+        return value, grad
+
+    return value_and_grad
+
+
+def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], z0: np.ndarray, max_iter: int):
+    """L-BFGS-B from z0 on an objective that returns its exact gradient.
+
+    Both tolerances sit near rounding: with gtol = 1e-9, k = 4 searches
+    ended up to 1.6e-10 above the Nelder-Mead distance, and searches that
+    walk a switch towards 0 or pi see gradients that shrink with it.
+    """
+    from scipy.optimize import minimize
+
+    options = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": max_iter}
+    return minimize(value_and_grad, z0, method="L-BFGS-B", jac=True, options=options)
+
+
+def _l2_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[float, np.ndarray]:
+    """L2 distance to -cos of the kinks' rho, and its derivative in each kink position.
+
+    On [0, pi], rho = -1 + (slope0*g + sum w*(g - d)+) / (2*pi) and
+    D^2 = (1/pi) * integral of (rho + cos)^2, so
+    dD/dd = -w / (2*pi^2*D) * integral from d to pi of (rho + cos): one
+    cumulative integral G of rho + cos on the half grid, read at the
+    breakpoint _half_curve gave each kink.
+    """
+    bps, values = _half_curve(d, w, slope0)
+    dist = _l2_distance(bps, values)
+    g = np.append(0.0, np.cumsum(np.diff(bps) * (values[:-1] + values[1:]))) / 2.0 + np.sin(bps)
+    at = g[np.searchsorted(bps, d + ANGLE_TOL, "right") - 1]
+    return dist, w * (at - g[-1]) / (TWO_PI * PI * dist)
 
 
 def _half(c: Colouring) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +255,11 @@ def optimise_fixed_k(
     max_iter: int = 2000,
     monotone: bool = False,
 ) -> OptimizationResult:
-    """Multi-start simplex search over single colourings with k switches.
+    """Multi-start search over single colourings with k switches.
 
+    Each start runs L-BFGS-B on the exact gradient for the L2 metric, and
+    the Nelder-Mead simplex, with step tolerance tol, for the sup metric or
+    with monotone=True.  max_iter caps the iterations of either.
     k = 0 is the unique triangle-wave colouring and is returned without
     search.  With monotone=True, candidates whose correlation oscillates on
     (0, pi) are penalised and the count of monotone-feasible starts is
@@ -197,14 +285,29 @@ def optimise_fixed_k(
             feasible_starts=n_starts if monotone else None,
         )
 
-    def objective(z: np.ndarray) -> float:
-        bps, values = _half(_colouring_from_theta(_theta_from_params(z)))
-        d = half_distance(bps, values)
-        if monotone:
-            v = _monotone_violation(bps, values)
-            if v > _MONOTONE_TOL:
-                d += 1e3 + v
-        return d
+    if metric == "L2" and not monotone:
+        value_and_grad = _with_gradient(_l2_with_gradient)
+
+        def search(z0: np.ndarray):
+            return _lbfgsb(value_and_grad, z0, max_iter)
+    else:
+        # the sup metric is a max and the monotone penalty jumps: no gradient
+        def objective(z: np.ndarray) -> float:
+            bps, values = _half(_colouring_from_theta(_theta_from_params(z)))
+            d = half_distance(bps, values)
+            if monotone:
+                v = _monotone_violation(bps, values)
+                if v > _MONOTONE_TOL:
+                    d += 1e3 + v
+            return d
+
+        def search(z0: np.ndarray):
+            return minimize(
+                objective,
+                z0,
+                method="Nelder-Mead",
+                options={"xatol": tol, "fatol": _FATOL, "maxiter": max_iter, "maxfev": 4 * max_iter},
+            )
 
     rng = np.random.default_rng(seed)
     best_c: Colouring | None = None
@@ -227,12 +330,7 @@ def optimise_fixed_k(
         if monotone and _monotone_violation(*_half(_colouring_from_theta(theta))) <= _MONOTONE_TOL:
             feasible_starts += 1
 
-        res = minimize(
-            objective,
-            z0,
-            method="Nelder-Mead",
-            options={"xatol": tol, "fatol": tol * tol, "maxiter": max_iter, "maxfev": 4 * max_iter},
-        )
+        res = search(z0)
         c = _colouring_from_theta(_theta_from_params(res.x))
         if monotone and _monotone_violation(*_half(c)) > _MONOTONE_TOL:
             if best_d < math.inf:
@@ -252,24 +350,21 @@ def optimise_fixed_k(
     )
 
 
-def monotone_search(k: int, n_starts: int = 32, seed: int = 0, metric: str = "L2") -> OptimizationResult:
-    """Fixed-k search restricted to monotone correlations on (0, pi)."""
-    return optimise_fixed_k(k, metric=metric, n_starts=n_starts, seed=seed, monotone=True)
+def _linear_value(rho_m: PiecewiseLinearCorrelation) -> _KinkObjective:
+    """Kinks of c -> <rho_c, rho_m + cos> and its derivative in each kink position.
 
-
-def _linear_value(rho_m: PiecewiseLinearCorrelation) -> Callable[[Colouring], float]:
-    """c -> <rho_c, rho_m + cos>, the Frank-Wolfe subproblem's objective.
-
-    Let G1 and G2 be the first and second antiderivatives from 0 of
-    g = rho_m + cos on [0, pi].  Integrating by parts twice, with
-    rho_c(0) = -1, rho_c(pi) = 1, rho_c'(0+) = rho_c'(pi-) = s and
-    rho_c'' = sum of w / (2*pi) at the kinks d,
+    This is the Frank-Wolfe subproblem's objective.  Let G1 and G2 be the
+    first and second antiderivatives from 0 of g = rho_m + cos on [0, pi].
+    Integrating by parts twice, with rho_c(0) = -1, rho_c(pi) = 1,
+    rho_c'(0+) = rho_c'(pi-) = s and rho_c'' = sum of w / (2*pi) at the
+    kinks d,
 
         <rho_c, g> = (G1(pi) - s*G2(pi) + sum w*G2(d) / (2*pi)) / pi,
 
-    both functions being even.  G2 is piecewise cubic on rho_m's grid plus
-    1 - cos, so each evaluation is the colouring's kinks, one searchsorted
-    and one dot product: no curve is built.
+    both functions being even, so the derivative in d is w*G1(d) / (2*pi^2).
+    G2 is piecewise cubic on rho_m's grid plus 1 - cos, so each evaluation
+    is one searchsorted, one dot product and one more Horner step for G1:
+    no curve is built.
     """
     half = rho_m.breakpoints <= PI
     bm, vm = rho_m.breakpoints[half], rho_m.values[half]
@@ -282,14 +377,15 @@ def _linear_value(rho_m: PiecewiseLinearCorrelation) -> Callable[[Colouring], fl
     g1_pi = r1[-1]  # + sin(pi) = 0
     g2_pi = r2[-1] + 2.0  # + 1 - cos(pi)
 
-    def lin_value(c: Colouring) -> float:
-        d, w, slope0 = _kinks(((1.0, c),))
+    def lin(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[float, np.ndarray]:
         j = np.searchsorted(bm, d, "right") - 1
         t = d - bm[j]
         g2 = c0[j] + t * (c1[j] + t * (c2[j] + t * c3[j])) + 1.0 - np.cos(d)
-        return float(g1_pi - slope0 / TWO_PI * g2_pi + np.dot(w, g2) / TWO_PI) / PI
+        g1 = c1[j] + t * (2.0 * c2[j] + 3.0 * t * c3[j]) + np.sin(d)
+        value = float(g1_pi - slope0 / TWO_PI * g2_pi + np.dot(w, g2) / TWO_PI) / PI
+        return value, w * g1 / (TWO_PI * PI)
 
-    return lin_value
+    return lin
 
 
 def _linear_subproblem(
@@ -300,29 +396,19 @@ def _linear_subproblem(
     max_iter: int,
 ) -> tuple[Colouring, float]:
     """Approximately minimise <rho_m + cos, rho_c> over single colourings."""
-    from scipy.optimize import minimize
-
-    lin_value = _linear_value(rho_m)
+    lin = _linear_value(rho_m)
+    value_and_grad = _with_gradient(lin)
     best_c = triangle_colouring()
-    best_v = lin_value(best_c)
+    best_v = lin(*_kinks(((1.0, best_c),)))[0]
     rng = np.random.default_rng(seed)
     for k in pool_ks:
         if k == 0:
             continue  # triangle already evaluated
-
-        def objective(z: np.ndarray) -> float:
-            return lin_value(_colouring_from_theta(_theta_from_params(z)))
-
         for _ in range(n_starts):
             z0 = rng.normal(scale=1.5, size=k)
-            res = minimize(
-                objective,
-                z0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-7, "fatol": 1e-13, "maxiter": max_iter, "maxfev": 2 * max_iter},
-            )
+            res = _lbfgsb(value_and_grad, z0, max_iter)
             c = _colouring_from_theta(_theta_from_params(res.x))
-            v = lin_value(c)
+            v = lin(*_kinks(((1.0, c),)))[0]
             if v < best_v - 1e-15:
                 best_v, best_c = v, c
     return best_c, best_v

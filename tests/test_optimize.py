@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.optimize
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.special import expit
 
 from spindisk import (
     MIN_L2_DISTANCE,
+    Mixture,
     ValidationError,
     exact_correlation,
     l2_distance_to_cosine,
     mixture_correlation,
-    monotone_search,
+    new_colouring,
     optimise_fixed_k,
     optimise_mixture,
     sup_distance_to_cosine,
@@ -21,13 +24,25 @@ from spindisk.circle import as_mixture
 from spindisk.correlation import (
     _half_curve,
     _kinks,
+    _l2_distance,
     check_invariants,
     cosine_inner_product,
     inner_product,
 )
-from spindisk.optimize import _MONOTONE_TOL, _linear_value, _monotone_violation, _sup_objective
+from spindisk.optimize import (
+    _MONOTONE_TOL,
+    _colouring_from_theta,
+    _half,
+    _l2_with_gradient,
+    _linear_value,
+    _monotone_violation,
+    _sup_objective,
+    _theta_from_params,
+    _with_gradient,
+)
 
 from conftest import colourings, mixtures
+from nelder_mead_oracle import nelder_mead_fixed_k
 
 PI = math.pi
 D_TRIANGLE = math.sqrt(5 / 6 - 8 / PI**2)
@@ -102,15 +117,35 @@ class TestFixedK:
         optimise_fixed_k(2, n_starts=2)
         assert len(built) < 10
 
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_no_worse_than_nelder_mead(self, k, seed):
+        res = optimise_fixed_k(k, n_starts=4, seed=seed)
+        assert res.distance <= nelder_mead_fixed_k(k, n_starts=4, seed=seed)[0] + 1e-12
+
+    def test_gradient_search_budget(self, monkeypatch):
+        spent = []
+        minimize = scipy.optimize.minimize
+
+        def counting(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            spent.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        optimise_fixed_k(2, n_starts=4)
+        assert len(spent) == 4
+        assert sum(spent) < nelder_mead_fixed_k(2, n_starts=4)[1] / 2
+
 
 class TestMonotone:
     def test_k0_feasible(self):
-        res = monotone_search(0)
+        res = optimise_fixed_k(0, monotone=True)
         assert res.constraint == "monotone"
         assert res.distance == pytest.approx(D_TRIANGLE, abs=1e-12)
 
     def test_k2_result_is_monotone(self):
-        res = monotone_search(2, n_starts=8, seed=1)
+        res = optimise_fixed_k(2, n_starts=8, seed=1, monotone=True)
         assert is_monotone(res.best_model)
         assert res.feasible_starts is not None
         assert res.distance >= MIN_L2_DISTANCE - 1e-9
@@ -142,7 +177,82 @@ class TestArrayObjectives:
         rho_m = mixture_correlation(m)
         pl = exact_correlation(c)
         want = inner_product(pl, rho_m) + cosine_inner_product(pl)
-        assert abs(_linear_value(rho_m)(c) - want) <= 1e-12
+        assert abs(_linear_value(rho_m)(*_kinks(((1.0, c),)))[0] - want) <= 1e-12
+
+
+@st.composite
+def search_points(draw):
+    """Logistic parameters z of a k <= 16 search, with their special entries.
+
+    The free entries keep their switches at least 1e-4 apart.  Optionally
+    two entries are equal, a switch pair that collapses below
+    _COLLAPSE_TOL, and one entry has |z| >= 40, which the logistic clip
+    saturates.  Returns z and the index sets of both kinds of entry.
+    """
+    pair, saturated = draw(st.booleans()), draw(st.booleans())
+    # k = n_free + pair + saturated is even; the pair repeats the last free entry
+    n_free = 2 * draw(st.integers(0 if pair or saturated else 1, (16 - 2 * pair - saturated) // 2))
+    n_free += saturated + pair
+    free = draw(st.lists(st.floats(-8.0, 8.0), min_size=n_free, max_size=n_free))
+    assume(np.all(np.diff(np.sort(PI * expit(np.array(free)))) > 1e-4))
+    z = free + free[-1:] * pair
+    if saturated:
+        z.append(draw(st.floats(40.0, 60.0)) * draw(st.sampled_from([-1.0, 1.0])))
+    order = draw(st.permutations(range(len(z))))
+    where = {i: order.index(i) for i in range(len(z))}
+    collapsed = {where[len(free) - 1], where[len(free)]} if pair else set()
+    clipped = {where[len(z) - 1]} if saturated else set()
+    return np.array([z[i] for i in order]), collapsed, clipped
+
+
+def check_gradient(value_and_grad, value_only, z, collapsed, clipped):
+    """The analytic gradient against central differences, entry by entry.
+
+    Entries of a collapsed pair and clipped entries have gradient exactly
+    0; so do their differences, over steps that keep the pair collapsed
+    and the entry clipped.
+    """
+    value, grad = value_and_grad(z)
+    assert value == value_only(z)
+    for i in range(z.size):
+        step = np.zeros(z.size)
+        step[i] = 1e-12 if i in collapsed else 1e-5
+        fd = (value_and_grad(z + step)[0] - value_and_grad(z - step)[0]) / (2.0 * step[i])
+        if i in collapsed or i in clipped:
+            assert grad[i] == 0.0 and fd == 0.0
+        else:
+            assert abs(grad[i] - fd) <= 1e-8
+
+
+#: A start whose first two entries collapse, and one whose second is clipped.
+COLLAPSED_START = (np.array([0.7, 0.7, -1.2, 2.0]), {0, 1}, set())
+CLIPPED_START = (np.array([0.3, -45.0, 1.1, -0.8]), set(), {1})
+
+
+class TestGradients:
+    """Both exact gradients against central differences of their values."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_points())
+    @example(COLLAPSED_START)
+    @example(CLIPPED_START)
+    def test_l2_gradient(self, point):
+        def value_only(z):
+            return _l2_distance(*_half(_colouring_from_theta(_theta_from_params(z))))
+
+        check_gradient(_with_gradient(_l2_with_gradient), value_only, *point)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixtures(), search_points())
+    @example(Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5, 2.0])))), COLLAPSED_START)
+    @example(Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5, 2.0])))), CLIPPED_START)
+    def test_frank_wolfe_gradient(self, m, point):
+        lin = _linear_value(mixture_correlation(m))
+
+        def value_only(z):
+            return lin(*_kinks(((1.0, _colouring_from_theta(_theta_from_params(z))),)))[0]
+
+        check_gradient(_with_gradient(lin), value_only, *point)
 
 
 class TestMixture:
