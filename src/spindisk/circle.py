@@ -107,24 +107,6 @@ def colour_at(c: Colouring, x: float) -> int:
     return 1 if idx % 2 == 0 else -1
 
 
-def switch_parity(c: Colouring, x: float, gamma: float) -> str:
-    """Parity ('even'/'odd') of the switch count in the half-open arc (x, x+gamma].
-
-    Odd parity is equivalent to colour_at(x) != colour_at(x + gamma) away
-    from switch points.
-    """
-    if not 0.0 <= gamma < TWO_PI:
-        gamma = canonical_angle(gamma)
-    f = full_switch_set(c)
-    x = canonical_angle(x)
-    t = x + gamma
-    if t < TWO_PI:
-        count = bisect_right(f, t) - bisect_right(f, x)
-    else:
-        count = (len(f) - bisect_right(f, x)) + bisect_right(f, t - TWO_PI)
-    return "odd" if count % 2 else "even"
-
-
 @dataclass(frozen=True)
 class Mixture:
     """Convex combination of colourings; the full classical model class."""
@@ -156,10 +138,6 @@ def as_mixture(model: Colouring | Mixture) -> Mixture:
 
 # JSON-friendly dict forms: {"theta": [...]} for a colouring,
 # {"components": [{"w": 0.5, "theta": [...]}, ...]} for a mixture.
-
-def colouring_to_dict(c: Colouring) -> dict:
-    return {"theta": list(c.switches)}
-
 
 def mixture_to_dict(m: Mixture) -> dict:
     return {"components": [{"w": w, "theta": list(c.switches)} for w, c in m.components]}

@@ -170,8 +170,8 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
 @main.command("sim")
 @click.argument("model_file", required=False, type=click.Path(exists=True, dir_okay=False))
 @click.option("--quantum", is_flag=True, help="Simulate the singlet law instead of a model.")
-@click.option("--alpha", type=float, default=None)
-@click.option("--beta", type=float, default=None)
+@click.option("--alpha", type=float, default=None, help="Fixed setting of station A (default 0); not with --grid.")
+@click.option("--beta", type=float, default=None, help="Fixed setting of station B (default 0); not with --grid.")
 @click.option("--grid", "grid_pairs", type=int, default=None, help="Use setting pairs (0, 2*pi*j/GRID).")
 @click.option("--runs", default=1000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -184,10 +184,12 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
     if runs < 1:
         raise ValidationError(f"--runs must be >= 1, got {runs}")
     model = None if quantum else _load_model(model_file)
-    if grid_pairs is not None:
-        sampler = GridSampler([(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)])
-    else:
+    if grid_pairs is None:
         sampler = FixedPairSampler(alpha or 0.0, beta or 0.0)
+    elif alpha is not None or beta is not None:
+        raise ValidationError("--grid cannot be combined with --alpha or --beta")
+    else:
+        sampler = GridSampler([(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)])
     table = run_experiment(
         model=model, quantum=quantum, sampler=sampler, n_runs=runs, seed=seed
     )

@@ -61,10 +61,3 @@ def lift_to_continuous(lc: LatticeColouring) -> Colouring:
     """Map switch index j to angle 2*pi*j/N; correlations agree at lattice angles."""
     return new_colouring([TWO_PI * j / lc.N for j in lc.switch_indices])
 
-
-def lattice_to_dict(lc: LatticeColouring) -> dict:
-    return {"N": lc.N, "switch_indices": list(lc.switch_indices)}
-
-
-def lattice_from_dict(d: dict) -> LatticeColouring:
-    return LatticeColouring(int(d["N"]), tuple(int(j) for j in d["switch_indices"]))

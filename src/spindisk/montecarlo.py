@@ -8,9 +8,16 @@ Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
 
 A sampler declares its table keys up front and returns, with each run's
 settings, the index of the run's key.  The count table is then one
-`np.bincount` over (key index, outcome cell), and a mixture's colours come
-from one `searchsorted` over its components' switch sets laid end to end.
-`UniformSampler` keys its runs by gamma bin, not by setting pair.
+`np.bincount` over (key index, outcome cell).  `UniformSampler` keys its
+runs by gamma bin, not by setting pair.
+
+A mixture's colours are read from its components' switch sets laid end to
+end, through a table of uniform bins built once per call: a bin that holds
+no switch stores its colour, so a station's colours are one multiply and
+one gather, and only the queries that land in a bin holding a switch fall
+back to `searchsorted`.  Settings in [0, 2*pi) are wrapped by adding 2*pi
+to a negative difference, bit for bit the `np.remainder` it replaces;
+other settings take the plain `np.remainder` and `searchsorted` lookup.
 
 All randomness flows from numpy SeedSequence, so results are reproducible
 per (seed, shard index) regardless of scheduling.
@@ -50,6 +57,26 @@ class CountTable:
 
 
 _GAMMA_BINS = 360
+
+#: Colour-table bins per switch in `classical_outcomes`.  A query lands in a
+#: bin that holds a switch, and takes `searchsorted`, about once in this many.
+_BINS_PER_SWITCH = 64
+
+
+def _wrap(d: np.ndarray) -> np.ndarray:
+    """np.remainder(d, 2*pi) in place and bit for bit, for d in [-2*pi, 2*pi).
+
+    fmod is exact on that range, so np.remainder returns d itself or the
+    same rounded d + 2*pi, and a zero as +0.0, as d + 0.0 does.
+    """
+    d += (d < 0) * TWO_PI
+    return d
+
+
+def _parity_colour(count: np.ndarray) -> np.ndarray:
+    """Colour after `count` switches <= q in a sorted switch array: +1 if odd."""
+    return 2 * (count & 1) - 1
+
 
 # A sampler has `keys`, the list of (alpha, beta) table keys, and
 # `draw(n, rng) -> (alphas, betas, idx)`, where run i counts under keys[idx[i]].
@@ -93,7 +120,7 @@ class UniformSampler:
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         alphas, betas = rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, TWO_PI, n)
-        gammas = np.remainder(betas - alphas, TWO_PI)
+        gammas = _wrap(betas - alphas)
         idx = np.minimum((gammas * (_GAMMA_BINS / TWO_PI)).astype(np.intp), _GAMMA_BINS - 1)
         return alphas, betas, idx
 
@@ -104,19 +131,32 @@ def classical_outcomes(
     betas: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised classical runs; returns (a, b) arrays of +-1.
+    """Vectorised classical runs; returns (a, b) int8 arrays of +-1.
 
     Component c's full switch set is shifted by 2*pi*c and the shifted sets
-    are concatenated into one sorted array, in which a run of component c
-    looks up remainder(x - u, 2*pi) + 2*pi*c.  Every full switch set has
-    even length, so the parity of the global index is the parity of the
-    local one and gives the colour.  Adding 2*pi*c rounds to the spacing
-    of floats near 2*pi*n for n components, so an angle within about
-    ulp(2*pi*n) of one of a component's 2k+2 switches (the one at 0 read
-    as 2*pi too) can land on the wrong side of it and flip its colour.
-    That happens with probability about 2*(2k+2)*ulp(2*pi*n)/(2*pi) per
-    run, k the largest switch count: ~4e-14 for n = 4, k = 16 and ~1e-11
-    for n = 1000.  A single colouring is not shifted.
+    are concatenated into one sorted array S, in which a run of component c
+    looks up q = remainder(x - u, 2*pi) + 2*pi*c; its colour is the parity
+    of the number of switches <= q.  Every full switch set has even length,
+    so the parity of the global count is that of the local one.  Adding
+    2*pi*c rounds to the spacing of floats near 2*pi*n for n components,
+    so an angle within about ulp(2*pi*n) of one of a component's 2k+2
+    switches (the one at 0 read as 2*pi too) can land on the wrong side of
+    it and flip its colour.  That happens with probability about
+    2*(2k+2)*ulp(2*pi*n)/(2*pi) per run, k the largest switch count: ~4e-14
+    for n = 4, k = 16 and ~1e-11 for n = 1000.  A single colouring is not
+    shifted.
+
+    The count comes from a table of m = _BINS_PER_SWITCH * len(S) uniform
+    bins over [0, 2*pi*n], built once per call: q falls in bin
+    int(q * scale), scale = m / (2*pi*n).  Rounding q * scale is monotone
+    in q, so a query whose bin holds no switch is strictly ordered against
+    every switch, and its count is the number of switches in lower bins;
+    the table stores that colour.  A bin that holds a switch stores 0, and
+    its queries take `searchsorted` over S.  The colours are thus exactly
+    those of one `searchsorted` over S, the switch at 0 read as 2*pi at a
+    boundary between components included.  A station whose settings are
+    not all in [0, 2*pi) is reduced by `np.remainder` and looked up by
+    `searchsorted` alone, since `_wrap` holds only on that range.
     """
     mix = as_mixture(model)
     n = alphas.size
@@ -130,10 +170,24 @@ def classical_outcomes(
     switches = np.concatenate([
         np.array(full_switch_set(c)) + TWO_PI * ci for ci, (_, c) in enumerate(mix.components)
     ])
+    n_bins = _BINS_PER_SWITCH * switches.size
+    scale = n_bins / (TWO_PI * len(mix.components))
+    # rounding can put a query at 2*pi*n in bin n_bins itself
+    per_bin = np.bincount((switches * scale).astype(np.intp), minlength=n_bins + 1)
+    table = np.where(per_bin > 0, 0, _parity_colour(np.cumsum(per_bin) - per_bin))
+    table = table.astype(np.int8)
 
     def colours(x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(switches, np.remainder(x - u, TWO_PI) + shift, side="right") - 1
-        return 1 - 2 * (idx & 1)
+        q = x - u
+        if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < TWO_PI):
+            q = np.remainder(q, TWO_PI) + shift
+            return _parity_colour(np.searchsorted(switches, q, side="right")).astype(np.int8)
+        q = _wrap(q)
+        q += shift
+        col = table[(q * scale).astype(np.intp)]
+        marked = np.flatnonzero(col == 0)
+        col[marked] = _parity_colour(np.searchsorted(switches, q[marked], side="right"))
+        return col
 
     return colours(alphas), -colours(betas)
 
@@ -172,6 +226,8 @@ def run_experiment(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if n_shards < 1:
+        raise ValueError("n_shards must be >= 1")
     if quantum == (model is not None):
         raise ValueError("pass exactly one of model= or quantum=True")
     children = np.random.SeedSequence(seed).spawn(n_shards)

@@ -1,11 +1,15 @@
-"""Reference oracle: classical outcomes by one boolean mask per component.
+"""Reference oracles for the colour lookup of `classical_outcomes`.
 
-This is the original colour lookup of `classical_outcomes`: draw the
-rotation u and the component index, then for each component select its
-runs with a mask and look their colours up in that component's own switch
-set.  It draws from the rng exactly as spindisk.montecarlo does, so for
-the same rng state both give the same (a, b) arrays; the tests compare
-the single concatenated lookup against it.
+Both draw from the rng exactly as spindisk.montecarlo does: the rotation
+u, then the component index.  For the same rng state they give the same
+(a, b) arrays as the library.
+
+- `masked_classical_outcomes` is the original lookup: one boolean mask per
+  component and that component's own switch set.  It may differ from the
+  library within ulp(2*pi*n) of a shifted switch (see `classical_outcomes`).
+- `concatenated_classical_outcomes` is one `np.remainder` and one
+  `searchsorted` over the components' switch sets laid end to end.  The
+  bin-table lookup must match it bit for bit.
 """
 import numpy as np
 
@@ -36,3 +40,24 @@ def masked_classical_outcomes(model, alphas, betas, rng):
         a[sel] = _colours_at(c, alphas[sel] - u[sel])
         b[sel] = -_colours_at(c, betas[sel] - u[sel])
     return a, b
+
+
+def concatenated_classical_outcomes(model, alphas, betas, rng):
+    mix = as_mixture(model)
+    n = alphas.size
+    u = rng.uniform(0.0, TWO_PI, n)
+    if len(mix.components) == 1:
+        shift = 0.0
+    else:
+        weights = np.array([w for w, _ in mix.components])
+        comp_idx = rng.choice(len(mix.components), size=n, p=weights / weights.sum())
+        shift = TWO_PI * comp_idx
+    switches = np.concatenate([
+        np.array(full_switch_set(c)) + TWO_PI * ci for ci, (_, c) in enumerate(mix.components)
+    ])
+
+    def colours(x):
+        idx = np.searchsorted(switches, np.remainder(x - u, TWO_PI) + shift, side="right") - 1
+        return 1 - 2 * (idx & 1)
+
+    return colours(alphas), -colours(betas)

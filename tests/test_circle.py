@@ -15,11 +15,9 @@ from spindisk import (
     colour_at,
     full_switch_set,
     new_colouring,
-    switch_parity,
     triangle_colouring,
 )
 from spindisk.circle import (
-    colouring_to_dict,
     mixture_to_dict,
     model_from_dict,
     segments,
@@ -135,31 +133,6 @@ class TestColourAt:
         assert colour_at(c, x + PI) == -colour_at(c, x)
 
 
-class TestSwitchParity:
-    def test_half_turn_is_odd(self):
-        assert switch_parity(triangle_colouring(), PI / 4, PI) == "odd"
-
-    def test_zero_arc_is_even(self, rng):
-        c = random_colouring(rng, 4)
-        assert switch_parity(c, 1.234, 0.0) == "even"
-
-    def test_near_full_circle_is_even(self, rng):
-        c = random_colouring(rng, 4)
-        assert switch_parity(c, 0.111, 2 * PI - 1e-6) == "even"
-
-    @settings(max_examples=60, deadline=None)
-    @given(colourings(), st.floats(0, 2 * PI, exclude_max=True), st.floats(0, 2 * PI, exclude_max=True))
-    def test_parity_matches_colour_change(self, c, x, gamma):
-        parity = switch_parity(c, x, gamma)
-        differ = colour_at(c, x) != colour_at(c, x + gamma)
-        # equivalence holds away from switch points; skip razor-edge draws
-        f = np.array(full_switch_set(c))
-        for point in (x % (2 * PI), (x + gamma) % (2 * PI)):
-            if np.min(np.abs(f - point)) < 1e-9:
-                return
-        assert (parity == "odd") == differ
-
-
 class TestMixture:
     def test_valid(self):
         m = Mixture(((0.5, triangle_colouring()), (0.5, new_colouring([0.5, 1.0]))))
@@ -185,7 +158,7 @@ class TestMixture:
 class TestSerialization:
     def test_colouring_round_trip(self):
         c = new_colouring([0.5, 1.0, 1.5, 2.0])
-        assert model_from_dict(colouring_to_dict(c)) == c
+        assert model_from_dict({"theta": list(c.switches)}) == c
 
     def test_mixture_round_trip(self):
         m = Mixture(((0.25, triangle_colouring()), (0.75, new_colouring([0.5, 1.0]))))

@@ -194,6 +194,8 @@ class TestChsh:
     ["chsh", "--quantum", "--scan-step", "0"],
     ["chsh", "--quantum", "--scan-step", "-1"],
     ["sim", "--quantum", "--runs", "0"],
+    ["sim", "--quantum", "--grid", "4", "--alpha", "0.5"],
+    ["sim", "MODEL", "--grid", "4", "--beta", "0"],
     ["spectrum", "MODEL", "--nmax", "0"],
     ["spectrum", "MODEL", "--nmax", "-1"],
     ["optimize", "--pool", "0,x"],

@@ -10,7 +10,7 @@ from spindisk import (
     lattice_correlation,
     lift_to_continuous,
 )
-from spindisk.lattice import colour_vector, lattice_from_dict, lattice_to_dict
+from spindisk.lattice import colour_vector
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -88,7 +88,3 @@ class TestLift:
             d = np.arange(720)
             assert np.max(np.abs(pl.sample(TWO_PI * d / 720) - rho)) < 1e-12
 
-
-def test_serialization_round_trip():
-    lc = LatticeColouring(720, (60, 120))
-    assert lattice_from_dict(lattice_to_dict(lc)) == lc

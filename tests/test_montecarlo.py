@@ -16,9 +16,10 @@ from spindisk import (
     run_experiment,
     triangle_colouring,
 )
-from spindisk.montecarlo import classical_outcomes, quantum_outcomes
+from spindisk.circle import ANGLE_TOL, Mixture
+from spindisk.montecarlo import _BINS_PER_SWITCH, classical_outcomes, quantum_outcomes
 
-from colour_oracle import masked_classical_outcomes
+from colour_oracle import concatenated_classical_outcomes, masked_classical_outcomes
 from conftest import mixtures, random_colouring, random_mixture
 
 PI = math.pi
@@ -64,6 +65,106 @@ class TestColourLookup:
         a_ref, b_ref = masked_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.random() == oracle_rng.random()  # same draws consumed
+
+
+def _nudged(s):
+    """s and its neighbouring floats on either side."""
+    return (s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf))
+
+
+def _pick_colouring(candidates, k, rng):
+    """A colouring with k switches: valid candidates first, random fill after."""
+    chosen = []
+    for s in (*candidates, *rng.uniform(0.01, PI - 0.01, 4 * k + 8)):
+        if len(chosen) == k:
+            break
+        if 2 * ANGLE_TOL < s < PI - 2 * ANGLE_TOL and all(abs(s - t) > 2 * ANGLE_TOL for t in chosen):
+            chosen.append(float(s))
+    assert len(chosen) == k
+    return new_colouring(chosen)
+
+
+def _half_turn(r):
+    """The switch angle in (0, pi) whose full switch set holds angle r."""
+    return r - PI if r >= PI else r
+
+
+def _settings(mode, u, edges, rng):
+    """One station's settings; `edges` holds each run's bin-edge targets."""
+    n = u.size
+    if mode == "lattice":
+        return TWO_PI * rng.integers(720, size=n) / 720
+    if mode == "outside":
+        x = rng.uniform(-20.0, 20.0, n)
+        special = [TWO_PI, -TWO_PI, -0.0, 7.0, -1e-300]
+        x[: min(n, 5)] = special[: min(n, 5)]
+        return rng.permutation(x)
+    x = rng.uniform(0.0, TWO_PI, n)
+    if mode == "targeted":
+        # component boundaries: x - u is 0 (q = 2*pi*c) or one ulp below 0
+        # (read as 2*pi); then queries a few ulps from bin edges
+        kind = rng.integers(4, size=n)
+        x = np.where(kind == 1, u, x)
+        x = np.where((kind == 2) & (u > 0), np.nextafter(u, -np.inf), x)
+        t = np.array([rng.choice(e) for e in edges]) if n else np.empty(0)
+        shifted = u + t
+        shifted = np.where(shifted >= TWO_PI, shifted - TWO_PI, shifted)
+        x = np.where(kind == 3, shifted, x)
+    return x
+
+
+class TestBinTableLookup:
+    """The bin-table lookup is bit for bit the concatenated searchsorted."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 8, 40, 200]),
+        st.integers(0, 400),
+        st.sampled_from(["uniform", "lattice", "targeted", "outside"]),
+        st.sampled_from(["uniform", "lattice", "targeted", "outside"]),
+    )
+    def test_matches_concatenated_oracle(self, seed, n_comp, n_runs, alpha_mode, beta_mode):
+        data = np.random.default_rng(seed)
+        weights = data.uniform(0.05, 1.0, n_comp)
+        weights = (weights / weights.sum()).tolist()
+        ks = 2 * data.integers(0, 9 if n_comp <= 8 else 3, size=n_comp)
+        # the library's bins: edges at b / scale, b an integer
+        scale = _BINS_PER_SWITCH * int(np.sum(2 * ks + 2)) / (TWO_PI * n_comp)
+        edges = []
+        for c in range(n_comp):
+            lo, hi = math.ceil(TWO_PI * c * scale), math.floor(TWO_PI * (c + 1) * scale)
+            local = data.integers(lo, hi, size=3) / scale - TWO_PI * c
+            edges.append([v for e in local for v in _nudged(e)])
+
+        # replay the library's draws: the rotation, then the component
+        replay = np.random.default_rng(seed + 1)
+        u = replay.uniform(0.0, TWO_PI, n_runs)
+        w = np.array(weights)
+        comp = (replay.choice(n_comp, size=n_runs, p=w / w.sum())
+                if n_comp > 1 else np.zeros(n_runs, dtype=int))
+        run_edges = [edges[c] for c in comp]
+        alphas = _settings(alpha_mode, u, run_edges, data)
+        betas = _settings(beta_mode, u, run_edges, data)
+
+        # switches exactly at some queries, one ulp either side, and on bin edges
+        candidates = [[_half_turn(e) for e in edges[c]] for c in range(n_comp)]
+        for x in (alphas, betas):
+            r = np.remainder(x - u, TWO_PI)
+            for i in data.permutation(n_runs)[: 2 * n_comp]:
+                candidates[comp[i]][:0] = _nudged(_half_turn(r[i]))
+        for c in range(n_comp):
+            data.shuffle(candidates[c])
+        model = Mixture(tuple(
+            (w, _pick_colouring(candidates[c], int(ks[c]), data))
+            for c, w in enumerate(weights)
+        ))
+
+        rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        a, b = classical_outcomes(model, alphas, betas, rng)
+        a_ref, b_ref = concatenated_classical_outcomes(model, alphas, betas, oracle_rng)
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestQuantumRun:
@@ -162,6 +263,10 @@ class TestRunExperiment:
             )
         with pytest.raises(ValueError):
             run_experiment(quantum=True, sampler=FixedPairSampler(0, 0), n_runs=0, seed=0)
+        with pytest.raises(ValueError):
+            run_experiment(
+                quantum=True, sampler=FixedPairSampler(0, 0), n_runs=10, seed=0, n_shards=0,
+            )
 
     def test_empty_grid_sampler(self):
         with pytest.raises(InvalidSampler):
