@@ -10,8 +10,6 @@ from .circle import (
     OutOfRange,
     DuplicateSwitch,
     as_mixture,
-    canonical_angle,
-    colour_at,
     full_switch_set,
     new_colouring,
     triangle_colouring,
@@ -39,7 +37,6 @@ from .spectral import (
     correlation_spectrum,
     first_harmonic_bound_check,
     gull_diagnostic,
-    quantum_target_spectrum,
     spectrum,
 )
 from .bell import CHSHSettings, chsh, chsh_scan, quantum_correlation
@@ -62,8 +59,6 @@ __all__ = [
     "OutOfRange",
     "DuplicateSwitch",
     "as_mixture",
-    "canonical_angle",
-    "colour_at",
     "full_switch_set",
     "new_colouring",
     "triangle_colouring",
@@ -85,7 +80,6 @@ __all__ = [
     "correlation_spectrum",
     "first_harmonic_bound_check",
     "gull_diagnostic",
-    "quantum_target_spectrum",
     "spectrum",
     "CHSHSettings",
     "chsh",

@@ -14,7 +14,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import TWO_PI
-from .correlation import PiecewiseLinearCorrelation
 
 #: a' rows of the CHSH scan evaluated at once; bounds its memory to
 #: _SCAN_BLOCK * n floats per temporary.
@@ -34,19 +33,13 @@ def quantum_correlation(gamma):
     return -np.cos(gamma)
 
 
-def _sample(rho, gammas: np.ndarray) -> np.ndarray:
-    if isinstance(rho, PiecewiseLinearCorrelation):
-        return rho.sample(gammas)
-    return np.asarray(rho(gammas), dtype=float)
-
-
 def chsh(rho, s: CHSHSettings) -> float:
-    """Evaluate the CHSH combination for an evaluable correlation."""
+    """Evaluate the CHSH combination; rho maps an array of angles to correlations."""
     gammas = np.remainder(
         np.array([s.a - s.b, s.a - s.b_prime, s.a_prime - s.b, s.a_prime - s.b_prime]),
         TWO_PI,
     )
-    r = _sample(rho, gammas)
+    r = rho(gammas)
     return float(r[0] - r[1] + r[2] + r[3])
 
 
@@ -64,7 +57,7 @@ def chsh_scan(rho, grid_step: float = math.pi / 90) -> tuple[float, CHSHSettings
         raise ValueError("grid_step must be positive")
     n = max(1, round(TWO_PI / grid_step))
     grid = np.arange(n) * (TWO_PI / n)
-    r = _sample(rho, grid)
+    r = rho(grid)
 
     t = r[(-np.arange(n)) % n]  # rho(a - b) with a = 0; with a minus sign, rho(a - b')
     # Row ia is rho(a' - b) over b, r[(ia - ib) % n]: window n - ia of (t, t).

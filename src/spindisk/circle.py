@@ -10,14 +10,18 @@ sets each have total measure pi.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
 
 #: Two angles closer than this are treated as coincident.
 ANGLE_TOL = 1e-12
+
+#: Smallest mixture weight, and the allowed error of a weight sum.
+WEIGHT_TOL = 1e-12
 
 Angle = float
 
@@ -36,16 +40,6 @@ class OutOfRange(ValidationError):
 
 class DuplicateSwitch(ValidationError):
     """Two switch angles coincide within tolerance."""
-
-
-def canonical_angle(x: float) -> float:
-    """Reduce an angle to the canonical range [0, 2*pi)."""
-    r = math.fmod(x, TWO_PI)
-    if r < 0.0:
-        r += TWO_PI
-    if r >= TWO_PI:  # rounding can land exactly on 2*pi
-        r = 0.0
-    return r
 
 
 @dataclass(frozen=True)
@@ -100,11 +94,15 @@ def segments(c: Colouring) -> list[tuple[float, float, int]]:
     ends = f[1:] + (TWO_PI,)
     return [(a, b, 1 if i % 2 == 0 else -1) for i, (a, b) in enumerate(zip(f, ends))]
 
-def colour_at(c: Colouring, x: float) -> int:
-    """Colour (+1 black / -1 white) at angle x, right-continuous at switches."""
-    x = canonical_angle(x)
-    idx = bisect_right(full_switch_set(c), x) - 1
-    return 1 if idx % 2 == 0 else -1
+
+def colours(switches: np.ndarray, q):
+    """Colours (+1 black / -1 white) at queries q from a sorted array of switch points.
+
+    The colour is +1 after an odd number of switches <= q: read from a
+    full switch set, which starts at 0, the first arc is black and each
+    arc includes its left end.
+    """
+    return 2 * (np.searchsorted(switches, q, side="right") & 1) - 1
 
 
 @dataclass(frozen=True)
@@ -118,14 +116,14 @@ class Mixture:
             raise ValidationError("mixture needs at least one component")
         total = 0.0
         for w, c in self.components:
-            if w < ANGLE_TOL:
+            if not w >= WEIGHT_TOL:  # NaN included
                 raise ValidationError(f"mixture weight {w!r} is not positive")
             if w > 1.0:
                 raise ValidationError(f"mixture weight {w!r} exceeds 1")
             if not isinstance(c, Colouring):
                 raise ValidationError("mixture component is not a Colouring")
             total += w
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise ValidationError(f"mixture weights sum to {total!r}, not 1")
 
 
@@ -145,12 +143,15 @@ def mixture_to_dict(m: Mixture) -> dict:
 
 def model_from_dict(d: dict) -> Colouring | Mixture:
     """Parse either dict form; raises ValidationError on malformed input."""
-    if "theta" in d:
-        return new_colouring(d["theta"])
-    if "components" in d:
-        comps = tuple(
-            (float(entry["w"]), new_colouring(entry["theta"]))
-            for entry in d["components"]
-        )
-        return Mixture(comps)
+    try:
+        if "theta" in d:
+            return new_colouring(d["theta"])
+        if "components" in d:
+            return Mixture(tuple(
+                (float(entry["w"]), new_colouring(entry["theta"])) for entry in d["components"]
+            ))
+    except ValidationError:
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValidationError(f"malformed model ({type(exc).__name__}: {exc})") from None
     raise ValidationError("model dict needs a 'theta' or 'components' key")

@@ -44,7 +44,6 @@ from .optimize import (
     optimise_mixture,
 )
 from .spectral import (
-    colouring_spectrum,
     first_harmonic_bound_check,
     gull_diagnostic,
     spectrum,
@@ -67,7 +66,18 @@ def _fail_cleanly(fn):
 
 def _load_model(path: str) -> Colouring | Mixture:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise ValidationError(f"unreadable model file ({type(exc).__name__})") from None
+    return model_from_dict(d)
+
+
+def _model_or_quantum(model_file: str | None, quantum: bool) -> Colouring | Mixture | None:
+    """The model in MODEL_FILE, or None with --quantum; exactly one must be given."""
+    if quantum == (model_file is not None):
+        raise ValidationError("pass exactly one of MODEL_FILE or --quantum")
+    return None if quantum else _load_model(model_file)
 
 
 def _echo(text: str, stream) -> None:
@@ -96,6 +106,15 @@ def _write_text(path: str | None, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _envelope(config: dict) -> dict:
+    """The tool/version/config keys of every JSON report."""
+    return {"tool": "spindisk", "version": __version__, "config": config}
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _header(command: str, **config) -> str:
@@ -134,7 +153,7 @@ def cmd_corr(model_file: str, grid: int, out: str) -> None:
     """Exact correlation curve of a model, with -cos and triangle overlays."""
     if grid < 1:
         raise ValidationError(f"--grid must be >= 1, got {grid}")
-    pl = mixture_correlation(as_mixture(_load_model(model_file)))
+    pl = mixture_correlation(_load_model(model_file))
     _write_text(out, _curve_csv(_header("corr", model=model_file, grid=grid), pl, grid))
 
 
@@ -179,11 +198,12 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
 @_fail_cleanly
 def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> None:
     """Run the experiment and write counts plus empirical correlations."""
-    if quantum == (model_file is not None):
-        raise ValidationError("pass exactly one of MODEL_FILE or --quantum")
+    model = _model_or_quantum(model_file, quantum)
     if runs < 1:
         raise ValidationError(f"--runs must be >= 1, got {runs}")
-    model = None if quantum else _load_model(model_file)
+    for name, x in (("--alpha", alpha), ("--beta", beta)):
+        if x is not None and not math.isfinite(x):
+            raise ValidationError(f"{name} must be finite, got {x}")
     if grid_pairs is None:
         sampler = FixedPairSampler(alpha or 0.0, beta or 0.0)
     elif alpha is not None or beta is not None:
@@ -220,7 +240,6 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
         raise ValidationError(f"--nmax must be >= 1, got {nmax}")
     model = _load_model(model_file)
     s = spectrum(model, nmax)
-    mix = as_mixture(model)
     if s.colouring_coeffs is not None:
         fhat = s.colouring_coeffs
     else:
@@ -233,19 +252,16 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
     _write_text(out, "".join(lines))
     g = gull_diagnostic(s)
     b = first_harmonic_bound_check(s)
-    payload = {
-        "tool": "spindisk",
-        "version": __version__,
-        "config": {"model": model_file, "nmax": nmax},
+    _write_json(report, {
+        **_envelope({"model": model_file, "nmax": nmax}),
         "gull": {
             "nonzero_count": g.nonzero_count,
             "tail_mass": g.tail_mass,
             "parseval_residual": g.parseval_residual,
         },
         "first_harmonic": {"holds": b.holds, "a1": b.a1, "bound": b.bound},
-        "components": len(mix.components),
-    }
-    _write_text(report, json.dumps(payload, indent=2) + "\n")
+        "components": len(as_mixture(model).components),
+    })
 
 
 @main.command("optimize")
@@ -277,14 +293,11 @@ def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out)
         result = optimise_fixed_k(
             k_value, metric=metric, n_starts=starts, seed=seed, monotone=monotone
         )
-    payload = result.to_dict()
-    payload["tool"] = "spindisk"
-    payload["version"] = __version__
-    payload["config"] = {
+    config = {
         "metric": metric, "k": k_value, "pool": pool, "monotone": monotone,
         "starts": starts, "iterations": iterations, "seed": seed,
     }
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
+    _write_json(out, {**result.to_dict(), **_envelope(config)})
 
 
 @main.command("chsh")
@@ -295,24 +308,17 @@ def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out)
 @_fail_cleanly
 def cmd_chsh(model_file, quantum, scan_step, out) -> None:
     """Scan the CHSH functional over a setting grid."""
-    if quantum == (model_file is not None):
-        raise ValidationError("pass exactly one of MODEL_FILE or --quantum")
+    model = _model_or_quantum(model_file, quantum)
     if not scan_step > 0:
         raise ValidationError(f"--scan-step must be positive, got {scan_step}")
-    if quantum:
-        rho = quantum_correlation
-    else:
-        rho = mixture_correlation(as_mixture(_load_model(model_file)))
+    rho = quantum_correlation if model is None else mixture_correlation(model)
     max_abs_s, settings = chsh_scan(rho, scan_step)
-    payload = {
-        "tool": "spindisk",
-        "version": __version__,
-        "config": {"model": model_file or "quantum", "scan_step": scan_step},
+    _write_json(out, {
+        **_envelope({"model": model_file or "quantum", "scan_step": scan_step}),
         "max_abs_S": max_abs_s,
         "settings": [settings.a, settings.a_prime, settings.b, settings.b_prime],
         "grid_step": scan_step,
-    }
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
+    })
 
 
 if __name__ == "__main__":

@@ -64,6 +64,8 @@ class PiecewiseLinearCorrelation:
         bp, val = self._extended()
         return np.interp(g, bp, val)
 
+    __call__ = sample
+
     def evaluate(self, gamma: float) -> float:
         """Evaluate at a single angle."""
         return float(self.sample(gamma))

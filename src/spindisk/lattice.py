@@ -11,10 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, Colouring, ValidationError, new_colouring
-
-#: Half-degree lattice: big enough for nontrivial colourings, cheap to count.
-DEFAULT_N = 720
+from .circle import TWO_PI, Colouring, ValidationError, colours, new_colouring
 
 
 @dataclass(frozen=True)
@@ -42,9 +39,7 @@ def colour_vector(lc: LatticeColouring) -> np.ndarray:
     """Length-N array of +-1 cell colours, antiperiodic by construction."""
     half = lc.N // 2
     switches = np.array([0, *lc.switch_indices, half, *(j + half for j in lc.switch_indices)])
-    switches.sort()
-    seg = np.searchsorted(switches, np.arange(lc.N), side="right") - 1
-    return 1 - 2 * (seg % 2)
+    return colours(switches, np.arange(lc.N))
 
 
 def lattice_correlation(lc: LatticeColouring) -> np.ndarray:

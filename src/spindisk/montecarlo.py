@@ -19,8 +19,8 @@ back to `searchsorted`.  Settings in [0, 2*pi) are wrapped by adding 2*pi
 to a negative difference, bit for bit the `np.remainder` it replaces;
 other settings take the plain `np.remainder` and `searchsorted` lookup.
 
-All randomness flows from numpy SeedSequence, so results are reproducible
-per (seed, shard index) regardless of scheduling.
+All randomness flows from one child of numpy's SeedSequence(seed), so
+results are reproducible per seed.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import TWO_PI, Colouring, Mixture, as_mixture, full_switch_set
+from .circle import TWO_PI, Colouring, Mixture, as_mixture, colours, full_switch_set
 
 
 class InvalidSampler(ValueError):
@@ -71,11 +71,6 @@ def _wrap(d: np.ndarray) -> np.ndarray:
     """
     d += (d < 0) * TWO_PI
     return d
-
-
-def _parity_colour(count: np.ndarray) -> np.ndarray:
-    """Colour after `count` switches <= q in a sorted switch array: +1 if odd."""
-    return 2 * (count & 1) - 1
 
 
 # A sampler has `keys`, the list of (alpha, beta) table keys, and
@@ -135,9 +130,10 @@ def classical_outcomes(
 
     Component c's full switch set is shifted by 2*pi*c and the shifted sets
     are concatenated into one sorted array S, in which a run of component c
-    looks up q = remainder(x - u, 2*pi) + 2*pi*c; its colour is the parity
-    of the number of switches <= q.  Every full switch set has even length,
-    so the parity of the global count is that of the local one.  Adding
+    looks up q = remainder(x - u, 2*pi) + 2*pi*c; `circle.colours` reads
+    its colour from the parity of the number of switches <= q.  Every full
+    switch set has even length, so the parity of the global count is that
+    of the local one.  Adding
     2*pi*c rounds to the spacing of floats near 2*pi*n for n components,
     so an angle within about ulp(2*pi*n) of one of a component's 2k+2
     switches (the one at 0 read as 2*pi too) can land on the wrong side of
@@ -172,24 +168,24 @@ def classical_outcomes(
     ])
     n_bins = _BINS_PER_SWITCH * switches.size
     scale = n_bins / (TWO_PI * len(mix.components))
-    # rounding can put a query at 2*pi*n in bin n_bins itself
-    per_bin = np.bincount((switches * scale).astype(np.intp), minlength=n_bins + 1)
-    table = np.where(per_bin > 0, 0, _parity_colour(np.cumsum(per_bin) - per_bin))
-    table = table.astype(np.int8)
+    bins = (switches * scale).astype(np.intp)
+    # bin b holds the colour after the switches in bins <= b - 1; rounding
+    # can put a query at 2*pi*n in bin n_bins itself
+    table = colours(bins, np.arange(-1, n_bins)).astype(np.int8)
+    table[bins] = 0
 
-    def colours(x: np.ndarray) -> np.ndarray:
+    def station(x: np.ndarray) -> np.ndarray:
         q = x - u
         if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < TWO_PI):
-            q = np.remainder(q, TWO_PI) + shift
-            return _parity_colour(np.searchsorted(switches, q, side="right")).astype(np.int8)
+            return colours(switches, np.remainder(q, TWO_PI) + shift).astype(np.int8)
         q = _wrap(q)
         q += shift
         col = table[(q * scale).astype(np.intp)]
         marked = np.flatnonzero(col == 0)
-        col[marked] = _parity_colour(np.searchsorted(switches, q[marked], side="right"))
+        col[marked] = colours(switches, q[marked])
         return col
 
-    return colours(alphas), -colours(betas)
+    return station(alphas), -station(betas)
 
 
 def quantum_outcomes(
@@ -216,34 +212,24 @@ def run_experiment(
     sampler,
     n_runs: int,
     seed: int = 0,
-    n_shards: int = 1,
 ) -> CountTable:
     """Run independent trials and aggregate outcome counts per setting pair.
 
-    Deterministic given (seed, n_shards); shard streams come from
-    SeedSequence.spawn so merging is order-independent.  A key with no
-    runs gets no table row; keys listed twice share one row.
+    Deterministic given seed: the stream is the first child of
+    SeedSequence(seed).  A key with no runs gets no table row; keys listed
+    twice share one row.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
     if quantum == (model is not None):
         raise ValueError("pass exactly one of model= or quantum=True")
-    children = np.random.SeedSequence(seed).spawn(n_shards)
-    per_shard = [n_runs // n_shards] * n_shards
-    per_shard[-1] += n_runs - sum(per_shard)
-    counts = np.zeros((len(sampler.keys), 4), dtype=np.int64)
-    for child, size in zip(children, per_shard):
-        if size == 0:
-            continue
-        rng = np.random.default_rng(child)
-        alphas, betas, idx = sampler.draw(size, rng)
-        if quantum:
-            a, b = quantum_outcomes(alphas, betas, rng)
-        else:
-            a, b = classical_outcomes(model, alphas, betas, rng)
-        counts += _tabulate(idx, len(sampler.keys), a, b)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    alphas, betas, idx = sampler.draw(n_runs, rng)
+    if quantum:
+        a, b = quantum_outcomes(alphas, betas, rng)
+    else:
+        a, b = classical_outcomes(model, alphas, betas, rng)
+    counts = _tabulate(idx, len(sampler.keys), a, b)
     table = CountTable()
     for (alpha, beta), cells in zip(sampler.keys, counts):
         if cells.any():

@@ -35,7 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import ANGLE_TOL, PI, TWO_PI, Colouring, Mixture, ValidationError, new_colouring, triangle_colouring
+from .circle import (
+    ANGLE_TOL, PI, TWO_PI, WEIGHT_TOL, Colouring, Mixture, ValidationError, as_mixture,
+    mixture_to_dict, new_colouring, triangle_colouring,
+)
 from .correlation import (
     PiecewiseLinearCorrelation,
     _differences,
@@ -68,6 +71,16 @@ _MONOTONE_TOL = 1e-12
 #: near 0.2, so a simplex stops instead of chasing last-bit differences.
 _FATOL = 1e-15
 
+#: Step tolerance (xatol) of the Nelder-Mead searches.
+_XATOL = 1e-9
+
+#: Iteration caps of a fixed-k start and of a Frank-Wolfe subproblem start.
+_MAX_ITER = 2000
+_SUBPROBLEM_MAX_ITER = 200
+
+#: Frank-Wolfe stops once its duality-gap estimate is at most this.
+_GAP_TOL = 1e-9
+
 #: Logistic values are clipped to [_CLIP, 1 - _CLIP], strictly inside (0, 1).
 _CLIP = 1e-12
 
@@ -94,8 +107,6 @@ class OptimizationResult:
     gaps: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        from .circle import mixture_to_dict
-
         d = {
             "metric": self.metric,
             "distance": self.distance,
@@ -242,24 +253,18 @@ def _guard_lower_bound(distance: float) -> None:
         )
 
 
-def _single_model(c: Colouring) -> Mixture:
-    return Mixture(((1.0, c),))
-
-
 def optimise_fixed_k(
     k: int,
     metric: str = "L2",
     n_starts: int = 32,
     seed: int = 0,
-    tol: float = 1e-9,
-    max_iter: int = 2000,
     monotone: bool = False,
 ) -> OptimizationResult:
     """Multi-start search over single colourings with k switches.
 
     Each start runs L-BFGS-B on the exact gradient for the L2 metric, and
-    the Nelder-Mead simplex, with step tolerance tol, for the sup metric or
-    with monotone=True.  max_iter caps the iterations of either.
+    the Nelder-Mead simplex, with step tolerance _XATOL, for the sup metric
+    or with monotone=True.  _MAX_ITER caps the iterations of either.
     k = 0 is the unique triangle-wave colouring and is returned without
     search.  With monotone=True, candidates whose correlation oscillates on
     (0, pi) are penalised and the count of monotone-feasible starts is
@@ -281,7 +286,7 @@ def optimise_fixed_k(
         d = curve_distance(exact_correlation(c))
         _guard_lower_bound(d)
         return OptimizationResult(
-            _single_model(c), d, metric, [(0, d)], constraint,
+            as_mixture(c), d, metric, [(0, d)], constraint,
             feasible_starts=n_starts if monotone else None,
         )
 
@@ -289,7 +294,7 @@ def optimise_fixed_k(
         value_and_grad = _with_gradient(_l2_with_gradient)
 
         def search(z0: np.ndarray):
-            return _lbfgsb(value_and_grad, z0, max_iter)
+            return _lbfgsb(value_and_grad, z0, _MAX_ITER)
     else:
         # the sup metric is a max and the monotone penalty jumps: no gradient
         def objective(z: np.ndarray) -> float:
@@ -306,7 +311,7 @@ def optimise_fixed_k(
                 objective,
                 z0,
                 method="Nelder-Mead",
-                options={"xatol": tol, "fatol": _FATOL, "maxiter": max_iter, "maxfev": 4 * max_iter},
+                options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER},
             )
 
     rng = np.random.default_rng(seed)
@@ -345,7 +350,7 @@ def optimise_fixed_k(
         raise NoFeasiblePoint(f"no monotone-feasible model found for k={k}")
     _guard_lower_bound(best_d)
     return OptimizationResult(
-        _single_model(best_c), best_d, metric, trace, constraint,
+        as_mixture(best_c), best_d, metric, trace, constraint,
         feasible_starts=feasible_starts if monotone else None,
     )
 
@@ -393,7 +398,6 @@ def _linear_subproblem(
     pool_ks: list[int],
     seed: int,
     n_starts: int,
-    max_iter: int,
 ) -> tuple[Colouring, float]:
     """Approximately minimise <rho_m + cos, rho_c> over single colourings."""
     lin = _linear_value(rho_m)
@@ -406,7 +410,7 @@ def _linear_subproblem(
             continue  # triangle already evaluated
         for _ in range(n_starts):
             z0 = rng.normal(scale=1.5, size=k)
-            res = _lbfgsb(value_and_grad, z0, max_iter)
+            res = _lbfgsb(value_and_grad, z0, _SUBPROBLEM_MAX_ITER)
             c = _colouring_from_theta(_theta_from_params(res.x))
             v = lin(*_kinks(((1.0, c),)))[0]
             if v < best_v - 1e-15:
@@ -419,9 +423,7 @@ def optimise_mixture(
     metric: str = "L2",
     n_iterations: int = 50,
     seed: int = 0,
-    tol: float = 1e-9,
     subproblem_starts: int = 8,
-    subproblem_max_iter: int = 200,
 ) -> OptimizationResult:
     """Frank-Wolfe over convex combinations of single-colouring correlations.
 
@@ -455,14 +457,12 @@ def optimise_mixture(
 
     seeds = np.random.SeedSequence(seed).generate_state(n_iterations)
     for it in range(1, n_iterations + 1):
-        c_new, lin_new = _linear_subproblem(
-            rho_m, pool, int(seeds[it - 1]), subproblem_starts, subproblem_max_iter
-        )
+        c_new, lin_new = _linear_subproblem(rho_m, pool, int(seeds[it - 1]), subproblem_starts)
         mm = inner_product(rho_m, rho_m)
         lin_m = mm + cosine_inner_product(rho_m)
         gap = lin_m - lin_new  # duality-gap estimate; >= 0 up to subproblem error
         gaps.append(gap)
-        if gap <= tol:
+        if gap <= _GAP_TOL:
             trace.append((it, best_d))
             break
 
@@ -484,7 +484,7 @@ def optimise_mixture(
             weights.append(step)
 
         # prune negligible weights, renormalise to machine precision
-        keep = [i for i, w in enumerate(weights) if w >= 1e-12]
+        keep = [i for i, w in enumerate(weights) if w >= WEIGHT_TOL]
         comps = [comps[i] for i in keep]
         weights = [weights[i] for i in keep]
         total = sum(weights)
@@ -497,6 +497,5 @@ def optimise_mixture(
             best_model = current_mixture()
         trace.append((it, best_d))
 
-    best_d = l2_distance_to_cosine(mixture_correlation(best_model))
     _guard_lower_bound(best_d)
     return OptimizationResult(best_model, best_d, metric, trace, "none", gaps=gaps)

@@ -114,15 +114,6 @@ def correlation_spectrum(
     return spectrum(obj, n_max).cosine_coeffs
 
 
-def quantum_target_spectrum(n_max: int = DEFAULT_N_MAX) -> Spectrum:
-    """Synthetic spectrum of the quantum curve -cos: a_1 = -1, all else 0."""
-    power = np.zeros(n_max + 1)
-    power[1] = 0.5
-    a = np.zeros(n_max + 1)
-    a[1] = -1.0
-    return Spectrum(n_max, None, power, a)
-
-
 def gull_diagnostic(s: Spectrum, tol: float = 1e-9) -> GullReport:
     """Quantify how far a spectrum is from the single-harmonic quantum target.
 

@@ -12,14 +12,14 @@ import math
 
 import numpy as np
 
-from spindisk.bell import CHSHSettings, _sample
+from spindisk.bell import CHSHSettings
 from spindisk.circle import TWO_PI
 
 
 def looped_chsh_scan(rho, grid_step):
     n = max(1, round(TWO_PI / grid_step))
     grid = np.arange(n) * (TWO_PI / n)
-    r = _sample(rho, grid)
+    r = rho(grid)
 
     idx = np.arange(n)
     t = r[(-idx) % n]  # rho(a - b) with a = 0; with a minus sign, rho(a - b')

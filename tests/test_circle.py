@@ -11,13 +11,12 @@ from spindisk import (
     OutOfRange,
     ValidationError,
     as_mixture,
-    canonical_angle,
-    colour_at,
     full_switch_set,
     new_colouring,
     triangle_colouring,
 )
 from spindisk.circle import (
+    colours,
     mixture_to_dict,
     model_from_dict,
     segments,
@@ -101,20 +100,33 @@ class TestFullSwitchSet:
             assert np.allclose(np.sort(f), shifted, atol=1e-12)
 
 
+def colour_of(c, x):
+    return colours(np.array(full_switch_set(c)), np.remainder(x, 2 * PI))
+
+
 class TestColourAt:
     def test_k0_first_half_black(self):
-        assert colour_at(triangle_colouring(), PI / 2) == 1
+        assert colour_of(triangle_colouring(), PI / 2) == 1
 
     def test_k0_second_half_white(self):
-        assert colour_at(triangle_colouring(), 3 * PI / 2) == -1
+        assert colour_of(triangle_colouring(), 3 * PI / 2) == -1
 
     def test_second_segment_white(self):
         c = new_colouring([PI / 3, 2 * PI / 3])
-        assert colour_at(c, PI / 2) == -1
+        assert colour_of(c, PI / 2) == -1
 
     def test_right_continuity_at_switch(self):
         c = new_colouring([PI / 3, 2 * PI / 3])
-        assert colour_at(c, PI / 3) == colour_at(c, PI / 3 + 1e-9)
+        f = np.array(full_switch_set(c))
+        assert np.array_equal(colours(f, f), colours(f, f + 1e-9))
+        assert np.array_equal(colours(f, f), [1, -1, 1, -1, 1, -1])
+
+    def test_vectorised_matches_segments(self, rng):
+        for k in (0, 2, 4, 6, 8):
+            c = random_colouring(rng, k)
+            x = rng.uniform(0.0, 2 * PI, 500)
+            want = [next(v for a, b, v in segments(c) if a <= xi < b) for xi in x]
+            assert np.array_equal(colours(np.array(full_switch_set(c)), x), want)
 
     def test_black_measure_is_pi(self, rng):
         for k in (0, 2, 4, 6, 8):
@@ -130,7 +142,7 @@ class TestColourAt:
         for point in (x % (2 * PI), (x + PI) % (2 * PI)):
             if np.min(np.abs(f - point)) < 1e-9 or point > 2 * PI - 1e-9:
                 return
-        assert colour_at(c, x + PI) == -colour_at(c, x)
+        assert colour_of(c, x + PI) == -colour_of(c, x)
 
 
 class TestMixture:
@@ -167,9 +179,3 @@ class TestSerialization:
     def test_bad_dict_rejected(self):
         with pytest.raises(ValidationError):
             model_from_dict({"nope": 1})
-
-
-def test_canonical_angle():
-    assert canonical_angle(2 * PI) == 0.0
-    assert canonical_angle(-PI) == pytest.approx(PI)
-    assert 0.0 <= canonical_angle(-1e-18) < 2 * PI

@@ -196,6 +196,8 @@ class TestChsh:
     ["sim", "--quantum", "--runs", "0"],
     ["sim", "--quantum", "--grid", "4", "--alpha", "0.5"],
     ["sim", "MODEL", "--grid", "4", "--beta", "0"],
+    ["sim", "MODEL", "--alpha", "nan"],
+    ["sim", "--quantum", "--beta", "inf"],
     ["spectrum", "MODEL", "--nmax", "0"],
     ["spectrum", "MODEL", "--nmax", "-1"],
     ["optimize", "--pool", "0,x"],
@@ -212,6 +214,25 @@ class TestChsh:
 def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
     placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}
     result = runner.invoke(main, [placeholders.get(a, a) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ValidationError: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [
+    b'{"theta": ["x"]}',
+    b'{"theta": 5}',
+    b'{"components": [{"theta": []}]}',
+    b'{"components": "x"}',
+    b'{"components": [{"w": NaN, "theta": []}]}',
+    b"\xff\xfe",
+    b"[" * 100_000 + b"]" * 100_000,
+])
+def test_malformed_model_file_exits_2_with_one_error_line(runner, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, ["corr", str(path)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ValidationError: ")

@@ -222,7 +222,6 @@ class TestRunExperiment:
             sampler=FixedPairSampler(0.3, 1.1),
             n_runs=9001,
             seed=5,
-            n_shards=4,
         )
         t1 = run_experiment(**kwargs)
         t2 = run_experiment(**kwargs)
@@ -263,10 +262,6 @@ class TestRunExperiment:
             )
         with pytest.raises(ValueError):
             run_experiment(quantum=True, sampler=FixedPairSampler(0, 0), n_runs=0, seed=0)
-        with pytest.raises(ValueError):
-            run_experiment(
-                quantum=True, sampler=FixedPairSampler(0, 0), n_runs=10, seed=0, n_shards=0,
-            )
 
     def test_empty_grid_sampler(self):
         with pytest.raises(InvalidSampler):

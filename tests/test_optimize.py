@@ -83,7 +83,7 @@ class TestFixedK:
         assert res.distance == pytest.approx(recomputed, abs=1e-10)
 
     def test_emitted_model_is_valid(self):
-        res = optimise_fixed_k(4, n_starts=2, seed=0, max_iter=400)
+        res = optimise_fixed_k(4, n_starts=2, seed=0)
         check_invariants(mixture_correlation(res.best_model))
 
     def test_trace_monotone(self):

@@ -11,13 +11,12 @@ from spindisk import (
     gull_diagnostic,
     mixture_correlation,
     new_colouring,
-    quantum_target_spectrum,
     spectrum,
     triangle_colouring,
 )
-from spindisk.circle import colour_at
-from spindisk.spectral import FIRST_HARMONIC_COEFF_BOUND
+from spindisk.spectral import FIRST_HARMONIC_COEFF_BOUND, Spectrum
 
+from colour_oracle import _colours_at
 from conftest import random_colouring, random_mixture
 
 PI = math.pi
@@ -27,7 +26,7 @@ TWO_PI = 2 * math.pi
 def dft_oracle(c, n, m=4096):
     """Discrete-transform approximation of the colouring coefficient."""
     x = (np.arange(m) + 0.5) * TWO_PI / m
-    f = np.array([colour_at(c, xi) for xi in x], dtype=float)
+    f = _colours_at(c, x).astype(float)
     return np.mean(f * np.exp(-1j * n * x))
 
 
@@ -88,7 +87,10 @@ class TestCorrelationSpectrum:
 
 class TestGullDiagnostic:
     def test_quantum_target_single_harmonic(self):
-        report = gull_diagnostic(quantum_target_spectrum(99))
+        # -cos alone: a_1 = -1, so E|fhat_1|^2 = 1/2, and nothing else
+        power, a = np.zeros(100), np.zeros(100)
+        power[1], a[1] = 0.5, -1.0
+        report = gull_diagnostic(Spectrum(99, None, power, a))
         assert report.nonzero_count == 1
         assert report.tail_mass == 0.0
         assert report.parseval_residual == pytest.approx(0.0, abs=1e-15)
