@@ -23,8 +23,6 @@ ANGLE_TOL = 1e-12
 #: Smallest mixture weight, and the allowed error of a weight sum.
 WEIGHT_TOL = 1e-12
 
-Angle = float
-
 
 class ValidationError(ValueError):
     """Invalid model input."""

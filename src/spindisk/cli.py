@@ -92,7 +92,7 @@ def _echo(text: str, stream) -> None:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Atomic write; '-' or None goes to stdout."""
+    """Atomic write with open()'s file mode, not mkstemp's 0600; '-' or None goes to stdout."""
     if path is None or path == "-":
         _echo(text, sys.stdout)
         return
@@ -101,6 +101,9 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -122,20 +125,19 @@ def _header(command: str, **config) -> str:
     return f"# spindisk {__version__}\n# command={command} {cfg}\n"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv(header: str, names: str, columns: list[np.ndarray]) -> str:
+    """`header`, the column names and one row per entry: ints as %d, floats as %.17g (exact)."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    return header + names + "\n" + "".join(row % r for r in zip(*(c.tolist() for c in columns)))
 
 
 def _curve_csv(header: str, pl: PiecewiseLinearCorrelation, grid: int) -> str:
     """A curve on `grid` points of [0, 2*pi] beside the -cos and triangle curves."""
     gammas = np.linspace(0.0, TWO_PI, grid)
-    columns = (gammas, pl.sample(gammas), quantum_correlation(gammas),
-               exact_correlation(triangle_colouring()).sample(gammas))
-    rows = zip(*(c.tolist() for c in columns))
-    # %.17g formats a float exactly as _fmt does
-    return header + "gamma,rho,cos_ref,tri_ref\n" + "".join(
-        "%.17g,%.17g,%.17g,%.17g\n" % row for row in rows
-    )
+    return _csv(header, "gamma,rho,cos_ref,tri_ref", [
+        gammas, pl.sample(gammas), quantum_correlation(gammas),
+        exact_correlation(triangle_colouring()).sample(gammas),
+    ])
 
 
 @click.group()
@@ -214,18 +216,13 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
         model=model, quantum=quantum, sampler=sampler, n_runs=runs, seed=seed
     )
     corr = empirical_correlation(table)
-    lines = [
-        _header("sim", model=model_file or "quantum", runs=runs, seed=seed,
-                alpha=alpha, beta=beta, grid=grid_pairs),
-        "alpha,beta,npp,npm,nmp,nmm,corr,se\n",
-    ]
-    for key in table.pairs():
-        npp, npm, nmp, nmm = (int(x) for x in table.counts[key])
-        est, se = corr[key]
-        lines.append(
-            f"{_fmt(key[0])},{_fmt(key[1])},{npp},{npm},{nmp},{nmm},{_fmt(est)},{_fmt(se)}\n"
-        )
-    _write_text(out, "".join(lines))
+    keys = table.pairs()
+    header = _header("sim", model=model_file or "quantum", runs=runs, seed=seed,
+                     alpha=alpha, beta=beta, grid=grid_pairs)
+    _write_text(out, _csv(header, "alpha,beta,npp,npm,nmp,nmm,corr,se", [
+        *np.array(keys).T, *np.array([table.counts[key] for key in keys]).T,
+        *np.array([corr[key] for key in keys]).T,
+    ]))
 
 
 @main.command("spectrum")
@@ -244,12 +241,8 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
         fhat = s.colouring_coeffs
     else:
         fhat = np.full(nmax + 1, np.nan, dtype=complex)
-    lines = [_header("spectrum", model=model_file, nmax=nmax), "n,re_fhat,im_fhat,a_n\n"]
-    for n in range(nmax + 1):
-        lines.append(
-            f"{n},{_fmt(fhat[n].real)},{_fmt(fhat[n].imag)},{_fmt(s.cosine_coeffs[n])}\n"
-        )
-    _write_text(out, "".join(lines))
+    _write_text(out, _csv(_header("spectrum", model=model_file, nmax=nmax), "n,re_fhat,im_fhat,a_n",
+                          [np.arange(nmax + 1), fhat.real, fhat.imag, s.cosine_coeffs]))
     g = gull_diagnostic(s)
     b = first_harmonic_bound_check(s)
     _write_json(report, {

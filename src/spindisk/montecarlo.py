@@ -17,7 +17,7 @@ no switch stores its colour, so a station's colours are one multiply and
 one gather, and only the queries that land in a bin holding a switch fall
 back to `searchsorted`.  Settings in [0, 2*pi) are wrapped by adding 2*pi
 to a negative difference, bit for bit the `np.remainder` it replaces;
-other settings take the plain `np.remainder` and `searchsorted` lookup.
+other settings take the plain `np.remainder`, then the same table.
 
 All randomness flows from one child of numpy's SeedSequence(seed), so
 results are reproducible per seed.
@@ -33,7 +33,7 @@ from .circle import TWO_PI, Colouring, Mixture, as_mixture, colours, full_switch
 
 
 class InvalidSampler(ValueError):
-    """Setting sampler has an empty setting set."""
+    """Setting sampler has an empty setting set or a non-finite setting."""
 
 
 @dataclass
@@ -81,6 +81,8 @@ class FixedPairSampler:
 
     def __init__(self, alpha: float, beta: float):
         self.keys = [(float(alpha), float(beta))]
+        if not np.isfinite(self.keys).all():
+            raise InvalidSampler(f"settings must be finite, got {self.keys[0]}")
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         alpha, beta = self.keys[0]
@@ -95,6 +97,8 @@ class GridSampler:
             raise InvalidSampler("setting grid is empty")
         self.keys = [(float(a), float(b)) for a, b in pairs]
         self._settings = np.array(self.keys)
+        if not np.isfinite(self._settings).all():
+            raise InvalidSampler("setting grid holds a non-finite setting")
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         idx = rng.integers(len(self.keys), size=n)
@@ -151,8 +155,8 @@ def classical_outcomes(
     its queries take `searchsorted` over S.  The colours are thus exactly
     those of one `searchsorted` over S, the switch at 0 read as 2*pi at a
     boundary between components included.  A station whose settings are
-    not all in [0, 2*pi) is reduced by `np.remainder` and looked up by
-    `searchsorted` alone, since `_wrap` holds only on that range.
+    not all in [0, 2*pi) is reduced by `np.remainder` instead of `_wrap`,
+    which holds only on that range; both land in [0, 2*pi].
     """
     mix = as_mixture(model)
     n = alphas.size
@@ -175,10 +179,8 @@ def classical_outcomes(
     table[bins] = 0
 
     def station(x: np.ndarray) -> np.ndarray:
-        q = x - u
-        if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < TWO_PI):
-            return colours(switches, np.remainder(q, TWO_PI) + shift).astype(np.int8)
-        q = _wrap(q)
+        in_range = x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < TWO_PI
+        q = _wrap(x - u) if in_range else np.remainder(x - u, TWO_PI)
         q += shift
         col = table[(q * scale).astype(np.intp)]
         marked = np.flatnonzero(col == 0)

@@ -12,14 +12,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from spindisk.correlation import _l2_distance, exact_correlation, l2_distance_to_cosine
-from spindisk.optimize import _colouring_from_theta, _half, _theta_from_params
+from spindisk.optimize import _half, _search_point, _theta_from_params
 
 
 def nelder_mead_fixed_k(k, n_starts=32, seed=0, tol=1e-9, max_iter=2000):
     """(best L2 distance, total objective evaluations) over n_starts simplex runs."""
 
     def objective(z):
-        return _l2_distance(*_half(_colouring_from_theta(_theta_from_params(z))))
+        return _l2_distance(*_half(_search_point(z)[0]))
 
     rng = np.random.default_rng(seed)
     best_d, nfev = math.inf, 0
@@ -35,6 +35,6 @@ def nelder_mead_fixed_k(k, n_starts=32, seed=0, tol=1e-9, max_iter=2000):
             options={"xatol": tol, "fatol": tol * tol, "maxiter": max_iter, "maxfev": 4 * max_iter},
         )
         nfev += res.nfev
-        c = _colouring_from_theta(_theta_from_params(res.x))
+        c = _search_point(res.x)[0]
         best_d = min(best_d, l2_distance_to_cosine(exact_correlation(c)))
     return best_d, nfev

@@ -68,6 +68,17 @@ class TestCorr:
         text = open(out).read()
         assert text.startswith("# spindisk")
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_out_file_mode_follows_umask(self, runner, model_file, tmp_path, umask):
+        out = tmp_path / "curve.csv"
+        old = os.umask(umask)
+        try:
+            result = runner.invoke(main, ["corr", model_file, "--grid", "5", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert result.exit_code == 0
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_parse_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

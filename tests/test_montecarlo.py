@@ -267,6 +267,14 @@ class TestRunExperiment:
         with pytest.raises(InvalidSampler):
             GridSampler([])
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, x):
+        # the colour lookup has no colour for them
+        with pytest.raises(InvalidSampler, match="finite"):
+            FixedPairSampler(x, 0.0)
+        with pytest.raises(InvalidSampler, match="finite"):
+            GridSampler([(0.0, 1.0), (0.0, x)])
+
 
 class TestUniformSampler:
     def test_keys_are_gamma_bins(self):

@@ -31,13 +31,12 @@ from spindisk.correlation import (
 )
 from spindisk.optimize import (
     _MONOTONE_TOL,
-    _colouring_from_theta,
     _half,
     _l2_with_gradient,
     _linear_value,
     _monotone_violation,
+    _search_point,
     _sup_objective,
-    _theta_from_params,
     _with_gradient,
 )
 
@@ -238,7 +237,7 @@ class TestGradients:
     @example(CLIPPED_START)
     def test_l2_gradient(self, point):
         def value_only(z):
-            return _l2_distance(*_half(_colouring_from_theta(_theta_from_params(z))))
+            return _l2_distance(*_half(_search_point(z)[0]))
 
         check_gradient(_with_gradient(_l2_with_gradient), value_only, *point)
 
@@ -250,7 +249,7 @@ class TestGradients:
         lin = _linear_value(mixture_correlation(m))
 
         def value_only(z):
-            return lin(*_kinks(((1.0, _colouring_from_theta(_theta_from_params(z))),)))[0]
+            return lin(*_kinks(((1.0, _search_point(z)[0]),)))[0]
 
         check_gradient(_with_gradient(lin), value_only, *point)
 
@@ -281,6 +280,50 @@ class TestMixture:
     def test_empty_search_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             optimise_mixture([0, 2], **kwargs)
+
+    def test_frank_wolfe_steps(self, monkeypatch):
+        """The step, merge, prune and renormalise bookkeeping, pinned bit for bit.
+
+        The L2 subproblem from the triangle stops at iteration 1, so a stub
+        returns a fixed sequence of colourings whose reported value is
+        _linear_value less an offset: two fractional steps, a repeated
+        colouring whose weight is merged, and a step of 1 that prunes
+        every other component.
+        """
+        steps = iter([
+            ([2.0, 2.5], 0.06), ([1.5, 1.7], 0.06), ([2.0, 2.5], 0.08), ([0.3, 0.8, 1.2, 2.9], 10.0),
+        ])
+
+        def subproblem(rho_m, pool_ks, seed, n_starts):
+            theta, offset = next(steps)
+            c = new_colouring(theta)
+            return c, _linear_value(rho_m)(*_kinks(((1.0, c),)))[0] - offset
+
+        seen = []
+
+        def recording(m):
+            seen.append([(w, c.switches) for w, c in m.components])
+            return mixture_correlation(m)
+
+        monkeypatch.setattr(spindisk.optimize, "_linear_subproblem", subproblem)
+        monkeypatch.setattr(spindisk.optimize, "mixture_correlation", recording)
+        res = optimise_mixture([0, 2, 4], n_iterations=4)
+        assert seen == [
+            [(1.0, ())],
+            [(0.8963577447383951, ()), (0.10364225526160485, (2.0, 2.5))],
+            [(0.379310573920468, ()), (0.0438581621639968, (2.0, 2.5)), (0.5768312639155352, (1.5, 1.7))],
+            [(0.1623897345989146, ()), (0.5906583418429491, (2.0, 2.5)), (0.2469519235581363, (1.5, 1.7))],
+            [(1.0, (0.3, 0.8, 1.2, 2.9))],
+        ]
+        d_tri = 0.15087698364770957
+        assert res.to_dict() == {
+            "metric": "L2",
+            "distance": d_tri,
+            "model": {"components": [{"w": 1.0, "theta": []}]},
+            "trace": [[0, d_tri], [1, d_tri], [2, d_tri], [3, d_tri], [4, d_tri]],
+            "constraint": "none",
+            "gaps": [0.01269998352258292, 0.025465603152428906, 0.03386984921606054, 9.974005866979212],
+        }
 
     def test_result_json_round_trip(self):
         import json
