@@ -7,7 +7,7 @@ Files are written atomically (temp file + rename).
 """
 from __future__ import annotations
 
-import functools
+import dataclasses
 import json
 import math
 import os
@@ -50,18 +50,6 @@ from .spectral import (
 )
 
 _ERRORS = (ValidationError, InvalidSampler, InfeasibleStart, NoFeasiblePoint, OSError, json.JSONDecodeError)
-
-
-def _fail_cleanly(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _ERRORS as exc:
-            _echo(f"error: {type(exc).__name__}: {exc}\n", sys.stderr)
-            sys.exit(2)
-
-    return wrapper
 
 
 def _load_model(path: str) -> Colouring | Mixture:
@@ -140,7 +128,18 @@ def _curve_csv(header: str, pl: PiecewiseLinearCorrelation, grid: int) -> str:
     ])
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends a command that raises one of _ERRORS with one `error:` line and exit status 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _ERRORS as exc:
+            _echo(f"error: {type(exc).__name__}: {exc}\n", sys.stderr)
+            sys.exit(2)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main() -> None:
     """Spinning-disk model of classical EPR-B correlations."""
@@ -150,7 +149,6 @@ def main() -> None:
 @click.argument("model_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--grid", default=721, show_default=True, help="Number of sample points on [0, 2*pi].")
 @click.option("--out", default="-", show_default=True)
-@_fail_cleanly
 def cmd_corr(model_file: str, grid: int, out: str) -> None:
     """Exact correlation curve of a model, with -cos and triangle overlays."""
     if grid < 1:
@@ -165,7 +163,6 @@ def cmd_corr(model_file: str, grid: int, out: str) -> None:
 @click.option("--seed", default=0, show_default=True)
 @click.option("--grid", default=721, show_default=True)
 @click.option("--outdir", default=".", show_default=True, type=click.Path(file_okay=False))
-@_fail_cleanly
 def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str) -> None:
     """Sample random colourings and write one correlation curve per panel."""
     if nswitch < 0 or nswitch % 2 != 0:
@@ -197,7 +194,6 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
 @click.option("--runs", default=1000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
-@_fail_cleanly
 def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> None:
     """Run the experiment and write counts plus empirical correlations."""
     model = _model_or_quantum(model_file, quantum)
@@ -212,9 +208,7 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
         raise ValidationError("--grid cannot be combined with --alpha or --beta")
     else:
         sampler = GridSampler([(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)])
-    table = run_experiment(
-        model=model, quantum=quantum, sampler=sampler, n_runs=runs, seed=seed
-    )
+    table = run_experiment(model, sampler=sampler, n_runs=runs, seed=seed)
     corr = empirical_correlation(table)
     keys = table.pairs()
     header = _header("sim", model=model_file or "quantum", runs=runs, seed=seed,
@@ -230,7 +224,6 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
 @click.option("--nmax", default=99, show_default=True)
 @click.option("--out", default="-", show_default=True, help="CSV spectrum destination.")
 @click.option("--report", default="-", show_default=True, help="JSON diagnostic destination.")
-@_fail_cleanly
 def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
     """Fourier coefficients of a model plus the impossibility diagnostic."""
     if nmax < 1:
@@ -243,16 +236,10 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
         fhat = np.full(nmax + 1, np.nan, dtype=complex)
     _write_text(out, _csv(_header("spectrum", model=model_file, nmax=nmax), "n,re_fhat,im_fhat,a_n",
                           [np.arange(nmax + 1), fhat.real, fhat.imag, s.cosine_coeffs]))
-    g = gull_diagnostic(s)
-    b = first_harmonic_bound_check(s)
     _write_json(report, {
         **_envelope({"model": model_file, "nmax": nmax}),
-        "gull": {
-            "nonzero_count": g.nonzero_count,
-            "tail_mass": g.tail_mass,
-            "parseval_residual": g.parseval_residual,
-        },
-        "first_harmonic": {"holds": b.holds, "a1": b.a1, "bound": b.bound},
+        "gull": dataclasses.asdict(gull_diagnostic(s)),
+        "first_harmonic": dataclasses.asdict(first_harmonic_bound_check(s)),
         "components": len(as_mixture(model).components),
     })
 
@@ -266,7 +253,6 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
 @click.option("--iterations", default=50, show_default=True, help="Frank-Wolfe iterations (pool mode).")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
-@_fail_cleanly
 def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out) -> None:
     """Search for the model correlation closest to -cos."""
     if (k_value is None) == (pool is None):
@@ -298,7 +284,6 @@ def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out)
 @click.option("--quantum", is_flag=True)
 @click.option("--scan-step", default=math.pi / 90, show_default=True)
 @click.option("--out", default="-", show_default=True)
-@_fail_cleanly
 def cmd_chsh(model_file, quantum, scan_step, out) -> None:
     """Scan the CHSH functional over a setting grid."""
     model = _model_or_quantum(model_file, quantum)

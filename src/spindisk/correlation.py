@@ -34,11 +34,11 @@ from .circle import (
 )
 
 
-def _dedupe_sorted(a: np.ndarray, tol: float = ANGLE_TOL) -> np.ndarray:
-    """Drop near-duplicate entries from a sorted array."""
+def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
+    """Drop the entries of a sorted array within ANGLE_TOL of the one before."""
     if a.size == 0:
         return a
-    keep = np.concatenate(([True], np.diff(a) > tol))
+    keep = np.concatenate(([True], np.diff(a) > ANGLE_TOL))
     return a[keep]
 
 
@@ -154,21 +154,12 @@ def mixture_correlation(m: Mixture | Colouring) -> PiecewiseLinearCorrelation:
     return _kink_curve(as_mixture(m).components)
 
 
-def _merge_grids(p: PiecewiseLinearCorrelation, q: PiecewiseLinearCorrelation) -> np.ndarray:
-    return _dedupe_sorted(np.sort(np.concatenate([p.breakpoints, q.breakpoints])))
-
-
 def inner_product(p: PiecewiseLinearCorrelation, q: PiecewiseLinearCorrelation) -> float:
-    """(1/2*pi) * integral of p*q over one period, exact per linear piece."""
-    bp = np.append(_merge_grids(p, q), TWO_PI)
-    vp = p.sample(bp)
-    vq = q.sample(bp)
-    g0, g1 = bp[:-1], bp[1:]
+    """(1/2*pi) * integral of p*q over one period, exact per linear piece of the merged grid."""
+    bp = np.append(_dedupe_sorted(np.sort(np.concatenate([p.breakpoints, q.breakpoints]))), TWO_PI)
+    g0, g1, a1, b1 = _pieces(bp, p.sample(bp))
+    a2, b2 = _pieces(bp, q.sample(bp))[2:]
     dg = g1 - g0
-    a1 = (vp[1:] - vp[:-1]) / dg
-    b1 = vp[:-1] - a1 * g0
-    a2 = (vq[1:] - vq[:-1]) / dg
-    b2 = vq[:-1] - a2 * g0
     # integral of (a1*g + b1)(a2*g + b2) piece by piece
     c2 = a1 * a2
     c1 = a1 * b2 + a2 * b1
@@ -238,16 +229,17 @@ def sup_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:
     return _sup_distance(*p._extended())
 
 
-def check_invariants(p: PiecewiseLinearCorrelation, tol: float = 1e-12, grid: int = 1000) -> None:
+def check_invariants(p: PiecewiseLinearCorrelation) -> None:
     """Raise AssertionError unless p satisfies the model-class invariants.
 
     Checks bounds, the certainty relations rho(0) = -1 and rho(pi) = +1,
-    evenness and antiperiodicity on a grid.
+    evenness and antiperiodicity on a 1000-point grid, all to within 1e-12.
     """
+    tol = 1e-12
     assert np.all(p.values <= 1.0 + tol) and np.all(p.values >= -1.0 - tol)
     assert abs(p.evaluate(0.0) + 1.0) <= tol
     assert abs(p.evaluate(PI) - 1.0) <= tol
-    g = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    g = np.linspace(0.0, TWO_PI, 1000, endpoint=False)
     v = p.sample(g)
     assert np.max(np.abs(v - p.sample(TWO_PI - g))) <= tol
     assert np.max(np.abs(p.sample(g + PI) + v)) <= tol

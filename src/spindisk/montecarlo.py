@@ -207,27 +207,19 @@ def _tabulate(idx: np.ndarray, n_keys: int, a: np.ndarray, b: np.ndarray) -> np.
     return np.bincount(idx * 4 + cells, minlength=4 * n_keys).reshape(-1, 4)
 
 
-def run_experiment(
-    model: Mixture | Colouring | None = None,
-    *,
-    quantum: bool = False,
-    sampler,
-    n_runs: int,
-    seed: int = 0,
-) -> CountTable:
+def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, seed: int = 0) -> CountTable:
     """Run independent trials and aggregate outcome counts per setting pair.
 
-    Deterministic given seed: the stream is the first child of
+    model=None samples the quantum singlet law instead of a classical
+    model.  Deterministic given seed: the stream is the first child of
     SeedSequence(seed).  A key with no runs gets no table row; keys listed
     twice share one row.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if quantum == (model is not None):
-        raise ValueError("pass exactly one of model= or quantum=True")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     alphas, betas, idx = sampler.draw(n_runs, rng)
-    if quantum:
+    if model is None:
         a, b = quantum_outcomes(alphas, betas, rng)
     else:
         a, b = classical_outcomes(model, alphas, betas, rng)

@@ -114,15 +114,16 @@ def correlation_spectrum(
     return spectrum(obj, n_max).cosine_coeffs
 
 
-def gull_diagnostic(s: Spectrum, tol: float = 1e-9) -> GullReport:
+def gull_diagnostic(s: Spectrum) -> GullReport:
     """Quantify how far a spectrum is from the single-harmonic quantum target.
 
     Any finite-switch colouring needs infinitely many harmonics to jump, so
     nonzero_count > 1 for every model in the class; -cos alone scores 1.
+    A coefficient counts as nonzero above 1e-9.
     """
     a = s.cosine_coeffs
     return GullReport(
-        nonzero_count=int(np.count_nonzero(np.abs(a[1:]) > tol)),
+        nonzero_count=int(np.count_nonzero(np.abs(a[1:]) > 1e-9)),
         tail_mass=float(np.sum(np.abs(a[2:]))),
         parseval_residual=float(1.0 - 2.0 * np.sum(s.power[1:])),
     )

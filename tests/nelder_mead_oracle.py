@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from spindisk.correlation import _l2_distance, exact_correlation, l2_distance_to_cosine
-from spindisk.optimize import _half, _search_point, _theta_from_params
+from spindisk.optimize import _half, _search_point
 
 
 def nelder_mead_fixed_k(k, n_starts=32, seed=0, tol=1e-9, max_iter=2000):
@@ -26,7 +26,8 @@ def nelder_mead_fixed_k(k, n_starts=32, seed=0, tol=1e-9, max_iter=2000):
     for _ in range(n_starts):
         for _ in range(100):
             z0 = rng.normal(scale=1.5, size=k)
-            if np.all(np.diff(_theta_from_params(z0)) > 1e-6):
+            c0 = _search_point(z0)[0]
+            if c0.k == k and np.all(np.diff(c0.switches) > 1e-6):
                 break
         res = minimize(
             objective,

@@ -138,7 +138,7 @@ def test_criterion_07_gull_impossibility():
         else:
             model = random_colouring(rng, int(rng.choice([0, 2, 4, 6])))
         s = spectrum(model, 25)
-        report = gull_diagnostic(s, tol=1e-9)
+        report = gull_diagnostic(s)
         assert report.nonzero_count >= 2, "classical model with < 2 harmonics"
         check = first_harmonic_bound_check(s)
         assert check.a1 >= check.bound - 1e-12

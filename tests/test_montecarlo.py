@@ -197,9 +197,7 @@ class TestRunExperiment:
         assert cells.sum() == 1000
 
     def test_quantum_certainty_counts(self):
-        table = run_experiment(
-            quantum=True, sampler=FixedPairSampler(0.0, 0.0), n_runs=1000, seed=7
-        )
+        table = run_experiment(None, sampler=FixedPairSampler(0.0, 0.0), n_runs=1000, seed=7)
         cells = table.counts[(0.0, 0.0)]
         assert cells[0] == 0 and cells[3] == 0
 
@@ -253,15 +251,10 @@ class TestRunExperiment:
         assert table.pairs() == [(0.0, 1.0)] and table.n_runs() == 500
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run_experiment(sampler=FixedPairSampler(0, 0), n_runs=10, seed=0)
         with pytest.raises(ValueError):
-            run_experiment(
-                model=triangle_colouring(), quantum=True,
-                sampler=FixedPairSampler(0, 0), n_runs=10, seed=0,
-            )
-        with pytest.raises(ValueError):
-            run_experiment(quantum=True, sampler=FixedPairSampler(0, 0), n_runs=0, seed=0)
+            run_experiment(None, sampler=FixedPairSampler(0, 0), n_runs=0, seed=0)
 
     def test_empty_grid_sampler(self):
         with pytest.raises(InvalidSampler):

@@ -325,6 +325,31 @@ class TestMixture:
             "gaps": [0.01269998352258292, 0.025465603152428906, 0.03386984921606054, 9.974005866979212],
         }
 
+    def test_prune_before_renormalise(self, monkeypatch):
+        """A step of 1 - 1e-13 leaves the triangle ~1e-13: it is pruned, then the rest sum to 1.
+
+        Renormalising before the prune would give the new colouring
+        0.9999999999999, not 1.0.
+        """
+        c = new_colouring([0.3, 0.8, 1.2, 2.9])
+
+        def subproblem(rho_m, pool_ks, seed, n_starts):
+            # the value that makes optimise_mixture's line search step 1 - 1e-13
+            pl, mm = exact_correlation(c), inner_product(rho_m, rho_m)
+            dd = inner_product(pl, pl) - 2.0 * inner_product(pl, rho_m) + mm
+            return c, mm + cosine_inner_product(rho_m) - (1.0 - 1e-13) * dd
+
+        seen = []
+
+        def recording(m):
+            seen.append([(w, c.switches) for w, c in m.components])
+            return mixture_correlation(m)
+
+        monkeypatch.setattr(spindisk.optimize, "_linear_subproblem", subproblem)
+        monkeypatch.setattr(spindisk.optimize, "mixture_correlation", recording)
+        optimise_mixture([0, 4], n_iterations=1)
+        assert seen == [[(1.0, ())], [(1.0, c.switches)]]
+
     def test_result_json_round_trip(self):
         import json
 
