@@ -23,7 +23,6 @@ from .correlation import (
 )
 from .montecarlo import (
     CountTable,
-    FixedPairSampler,
     GridSampler,
     InvalidSampler,
     UniformSampler,
@@ -44,7 +43,6 @@ from .lattice import LatticeColouring, lattice_correlation, lift_to_continuous
 from .optimize import (
     MIN_L2_DISTANCE,
     InfeasibleStart,
-    NoFeasiblePoint,
     OptimizationResult,
     optimise_fixed_k,
     optimise_mixture,
@@ -68,7 +66,6 @@ __all__ = [
     "mixture_correlation",
     "sup_distance_to_cosine",
     "CountTable",
-    "FixedPairSampler",
     "GridSampler",
     "InvalidSampler",
     "UniformSampler",
@@ -90,7 +87,6 @@ __all__ = [
     "lift_to_continuous",
     "MIN_L2_DISTANCE",
     "InfeasibleStart",
-    "NoFeasiblePoint",
     "OptimizationResult",
     "optimise_fixed_k",
     "optimise_mixture",

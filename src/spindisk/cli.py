@@ -31,25 +31,19 @@ from .circle import (
 )
 from .correlation import PiecewiseLinearCorrelation, exact_correlation, mixture_correlation
 from .montecarlo import (
-    FixedPairSampler,
     GridSampler,
     InvalidSampler,
     empirical_correlation,
     run_experiment,
 )
-from .optimize import (
-    InfeasibleStart,
-    NoFeasiblePoint,
-    optimise_fixed_k,
-    optimise_mixture,
-)
+from .optimize import InfeasibleStart, optimise_fixed_k, optimise_mixture
 from .spectral import (
     first_harmonic_bound_check,
     gull_diagnostic,
     spectrum,
 )
 
-_ERRORS = (ValidationError, InvalidSampler, InfeasibleStart, NoFeasiblePoint, OSError, json.JSONDecodeError)
+_ERRORS = (ValidationError, InvalidSampler, InfeasibleStart, OSError, json.JSONDecodeError)
 
 
 def _load_model(path: str) -> Colouring | Mixture:
@@ -203,7 +197,7 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
         if x is not None and not math.isfinite(x):
             raise ValidationError(f"{name} must be finite, got {x}")
     if grid_pairs is None:
-        sampler = FixedPairSampler(alpha or 0.0, beta or 0.0)
+        sampler = GridSampler([(alpha or 0.0, beta or 0.0)])
     elif alpha is not None or beta is not None:
         raise ValidationError("--grid cannot be combined with --alpha or --beta")
     else:

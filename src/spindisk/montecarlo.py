@@ -76,21 +76,8 @@ def _wrap(d: np.ndarray) -> np.ndarray:
 # A sampler has `keys`, the list of (alpha, beta) table keys, and
 # `draw(n, rng) -> (alphas, betas, idx)`, where run i counts under keys[idx[i]].
 
-class FixedPairSampler:
-    """Every run uses the same (alpha, beta)."""
-
-    def __init__(self, alpha: float, beta: float):
-        self.keys = [(float(alpha), float(beta))]
-        if not np.isfinite(self.keys).all():
-            raise InvalidSampler(f"settings must be finite, got {self.keys[0]}")
-
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        alpha, beta = self.keys[0]
-        return np.full(n, alpha), np.full(n, beta), np.zeros(n, dtype=np.intp)
-
-
 class GridSampler:
-    """Settings drawn uniformly from a finite list of pairs."""
+    """Settings drawn uniformly from a finite list of pairs; one pair fixes them."""
 
     def __init__(self, pairs: list[tuple[float, float]]):
         if not pairs:

@@ -27,8 +27,12 @@ penalty, which jumps, have no gradient and run the Nelder-Mead simplex
 on the value alone.  Reported distances, the Frank-Wolfe step and the
 mixture bookkeeping use the public curve functions.
 
-Whether any mixture beats the triangle wave is an open question; these
-routines report what they find and never assert optimality.
+Every search is measured against the triangle wave, the zero-switch
+colouring: it is the starting best, and a candidate replaces the best
+only if it is closer to -cos by more than _MIN_GAIN.  A search that
+finds nothing better reports the triangle itself, not a triangle hidden
+behind near-coincident or boundary-hugging switches.  A reported model
+is the best found, not a proven optimum.
 """
 from __future__ import annotations
 
@@ -70,8 +74,9 @@ _COLLAPSE_TOL = 1e-9
 #: not monotone.
 _MONOTONE_TOL = 1e-12
 
-#: Absolute fatol of the Nelder-Mead searches: some 36 ulp of a distance
-#: near 0.2, so a simplex stops instead of chasing last-bit differences.
+#: Function tolerance of both searches (Nelder-Mead fatol; L-BFGS-B ftol,
+#: which is absolute for values below 1): some 36 ulp of a distance near
+#: 0.2, so a search stops instead of chasing last-bit differences.
 _FATOL = 1e-15
 
 #: Step tolerance (xatol) of the Nelder-Mead searches.
@@ -84,8 +89,13 @@ _SUBPROBLEM_MAX_ITER = 200
 #: Frank-Wolfe stops once its duality-gap estimate is at most this.
 _GAP_TOL = 1e-9
 
-#: Logistic values are clipped to [_CLIP, 1 - _CLIP], strictly inside (0, 1).
-_CLIP = 1e-12
+#: Logistic values are clipped to [_CLIP, 1 - _CLIP]: a clipped switch stays
+#: pi*ANGLE_TOL > ANGLE_TOL away from 0 and pi, as Colouring requires.
+_CLIP = ANGLE_TOL
+
+#: A candidate replaces the best only if it is lower by more than this; a
+#: triangle in disguise is within rounding, 1e-16 to 1e-13, of the triangle.
+_MIN_GAIN = 1e-12
 
 #: (d, w, slope0) of one colouring's kinks -> (value, derivative in each d)
 _KinkObjective = Callable[[np.ndarray, np.ndarray, float], tuple[float, np.ndarray]]
@@ -93,10 +103,6 @@ _KinkObjective = Callable[[np.ndarray, np.ndarray, float], tuple[float, np.ndarr
 
 class InfeasibleStart(RuntimeError):
     """Could not draw a non-degenerate starting point within the retry cap."""
-
-
-class NoFeasiblePoint(RuntimeError):
-    """No start produced a monotone-feasible model."""
 
 
 @dataclass
@@ -198,7 +204,7 @@ def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], z0
     """
     from scipy.optimize import minimize
 
-    options = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": max_iter}
+    options = {"ftol": _FATOL, "gtol": 1e-12, "maxiter": max_iter}
     return minimize(value_and_grad, z0, method="L-BFGS-B", jac=True, options=options)
 
 
@@ -265,15 +271,19 @@ def optimise_fixed_k(
     seed: int = 0,
     monotone: bool = False,
 ) -> OptimizationResult:
-    """Multi-start search over single colourings with k switches.
+    """Multi-start search over single colourings with at most k switches.
 
-    Each start runs L-BFGS-B on the exact gradient for the L2 metric, and
-    the Nelder-Mead simplex, with step tolerance _XATOL, for the sup metric
-    or with monotone=True.  _MAX_ITER caps the iterations of either.
-    k = 0 is the unique triangle-wave colouring and runs no start.  With
-    monotone=True, candidates whose correlation oscillates on (0, pi) are
-    penalised and the count of monotone-feasible starts is reported;
-    NoFeasiblePoint is raised if no start ends feasible.
+    The search collapses coincident switch pairs (_surviving), so a start
+    may end with fewer switches, down to the triangle wave.  The triangle
+    is the starting best, and a start replaces the best only if it is
+    closer by more than _MIN_GAIN.  Each start runs L-BFGS-B on the exact
+    gradient for the L2 metric, and the Nelder-Mead simplex, with step
+    tolerance _XATOL, for the sup metric or with monotone=True; _MAX_ITER
+    caps either.  trace holds (start, best distance after it) for every
+    start; k = 0 runs no start and its trace is [(0, triangle distance)].
+    With monotone=True, oscillating candidates are penalised and never
+    replace the best, and the starts drawn monotone are counted (all of
+    them at k = 0).  The triangle is monotone, so there is always a result.
     """
     from scipy.optimize import minimize
 
@@ -310,41 +320,31 @@ def optimise_fixed_k(
             )
 
     rng = np.random.default_rng(seed)
-    best_c: Colouring | None = None
-    best_d = math.inf
+    best_c = triangle_colouring()
+    best_d = curve_distance(exact_correlation(best_c))
     trace: list[tuple[int, float]] = []
     feasible_starts = 0
+    for start in range(n_starts if k else 0):
+        # a start keeps all k switches, 1e-6 apart
+        for _ in range(100):
+            z0 = rng.normal(scale=1.5, size=k)
+            c0 = _search_point(z0)[0]
+            if c0.k == k and np.all(np.diff(c0.switches) > 1e-6):
+                break
+        else:
+            raise InfeasibleStart(f"no non-degenerate start found for k={k} after 100 draws")
+        if monotone and _monotone_violation(*_half(c0)) <= _MONOTONE_TOL:
+            feasible_starts += 1
 
-    if k == 0:
-        best_c, feasible_starts = triangle_colouring(), n_starts
-        best_d = curve_distance(exact_correlation(best_c))
-        trace.append((0, best_d))
-    else:
-        for start in range(n_starts):
-            # a start keeps all k switches, 1e-6 apart
-            for _ in range(100):
-                z0 = rng.normal(scale=1.5, size=k)
-                c0 = _search_point(z0)[0]
-                if c0.k == k and np.all(np.diff(c0.switches) > 1e-6):
-                    break
-            else:
-                raise InfeasibleStart(f"no non-degenerate start found for k={k} after 100 draws")
-            if monotone and _monotone_violation(*_half(c0)) <= _MONOTONE_TOL:
-                feasible_starts += 1
-
-            res = search(z0)
-            c = _search_point(res.x)[0]
-            if monotone and _monotone_violation(*_half(c)) > _MONOTONE_TOL:
-                if best_d < math.inf:
-                    trace.append((start, best_d))
-                continue
+        c = _search_point(search(z0).x)[0]
+        if not monotone or _monotone_violation(*_half(c)) <= _MONOTONE_TOL:
             d = curve_distance(exact_correlation(c))
-            if d < best_d:
+            if d < best_d - _MIN_GAIN:
                 best_d, best_c = d, c
-            trace.append((start, best_d))
+        trace.append((start, best_d))
+    if not trace:  # k = 0: the triangle is the whole search space, and it is monotone
+        trace, feasible_starts = [(0, best_d)], n_starts
 
-    if best_c is None:
-        raise NoFeasiblePoint(f"no monotone-feasible model found for k={k}")
     _guard_lower_bound(best_d)
     return OptimizationResult(
         as_mixture(best_c), best_d, metric, trace, "monotone" if monotone else "none",
@@ -411,7 +411,7 @@ def _linear_subproblem(
             c = _search_point(res.x)[0]
             # not res.fun: after an ABNORMAL line-search exit it need not be the value at res.x
             v = lin(*_kinks(((1.0, c),)))[0]
-            if v < best_v - 1e-15:
+            if v < best_v - _MIN_GAIN:
                 best_v, best_c = v, c
     return best_c, best_v
 
@@ -479,7 +479,7 @@ def optimise_mixture(
         mixture = Mixture(tuple((w, c) for c, w in model.items()))
         rho_m = mixture_correlation(mixture)
         d = l2_distance_to_cosine(rho_m)
-        if d < best_d:
+        if d < best_d - _MIN_GAIN:
             best_d, best_model = d, mixture
         trace.append((it, best_d))
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from scipy.integrate import quad
 from spindisk import (
     CHSHSettings,
     MIN_L2_DISTANCE,
-    FixedPairSampler,
     chsh,
     chsh_scan,
     empirical_correlation,
@@ -198,7 +198,7 @@ def test_criterion_10_demo_figure(tmp_path):
     for name in files:
         rows = [
             line.split(",")
-            for line in open(os.path.join(outdir, name))
+            for line in Path(outdir, name).read_text().splitlines()
             if not line.startswith(("#", "gamma"))
         ]
         data = np.array(rows, dtype=float)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestCorr:
         out = str(tmp_path / "curve.csv")
         result = runner.invoke(main, ["corr", model_file, "--out", out])
         assert result.exit_code == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert text.startswith("# spindisk")
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
@@ -99,7 +100,7 @@ class TestDemoFigure:
         outdir = str(tmp_path / "panels")
         runner.invoke(main, ["demo-figure", "--outdir", outdir, "--panels", "3", "--grid", "721"])
         for name in sorted(os.listdir(outdir)):
-            data = parse_curve(open(os.path.join(outdir, name)).read())
+            data = parse_curve(Path(outdir, name).read_text())
             rho = data[:, 1]
             assert np.all(np.abs(rho) <= 1 + 1e-12)
             assert rho[0] == pytest.approx(-1, abs=1e-12)
@@ -112,8 +113,8 @@ class TestDemoFigure:
             main,
             ["demo-figure", "--outdir", outdir, "--nswitch", "0", "--panels", "2", "--grid", "181"],
         )
-        d1 = parse_curve(open(os.path.join(outdir, "panel_01.csv")).read())
-        d2 = parse_curve(open(os.path.join(outdir, "panel_02.csv")).read())
+        d1 = parse_curve(Path(outdir, "panel_01.csv").read_text())
+        d2 = parse_curve(Path(outdir, "panel_02.csv").read_text())
         assert np.array_equal(d1[:, 1], d2[:, 1])
         assert np.max(np.abs(d1[:, 1] - d1[:, 3])) < 1e-12
 
@@ -124,9 +125,7 @@ class TestDemoFigure:
                 main,
                 ["demo-figure", "--outdir", out, "--panels", "2", "--seed", "5", "--grid", "91"],
             )
-        assert open(os.path.join(out1, "panel_02.csv")).read() == open(
-            os.path.join(out2, "panel_02.csv")
-        ).read()
+        assert Path(out1, "panel_02.csv").read_text() == Path(out2, "panel_02.csv").read_text()
 
     def test_odd_nswitch_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["demo-figure", "--nswitch", "3", "--outdir", str(tmp_path)])
@@ -163,10 +162,10 @@ class TestSpectrum:
             main, ["spectrum", triangle_file, "--nmax", "9", "--out", out, "--report", rep]
         )
         assert result.exit_code == 0
-        data = parse_curve(open(out).read())
+        data = parse_curve(Path(out).read_text())
         assert data[1, 3] == pytest.approx(-8 / PI**2, abs=1e-12)
         assert np.max(np.abs(data[2::2, 3])) < 1e-12
-        report = json.load(open(rep))
+        report = json.loads(Path(rep).read_text())
         assert report["gull"]["nonzero_count"] >= 2
         assert report["first_harmonic"]["holds"] is True
 

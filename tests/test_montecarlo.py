@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from spindisk import (
     CountTable,
-    FixedPairSampler,
     GridSampler,
     InvalidSampler,
     UniformSampler,
@@ -189,7 +188,7 @@ class TestQuantumRun:
 class TestRunExperiment:
     def test_classical_certainty_counts(self):
         table = run_experiment(
-            model=triangle_colouring(), sampler=FixedPairSampler(0.0, 0.0),
+            model=triangle_colouring(), sampler=GridSampler([(0.0, 0.0)]),
             n_runs=1000, seed=7,
         )
         cells = table.counts[(0.0, 0.0)]
@@ -197,7 +196,7 @@ class TestRunExperiment:
         assert cells.sum() == 1000
 
     def test_quantum_certainty_counts(self):
-        table = run_experiment(None, sampler=FixedPairSampler(0.0, 0.0), n_runs=1000, seed=7)
+        table = run_experiment(None, sampler=GridSampler([(0.0, 0.0)]), n_runs=1000, seed=7)
         cells = table.counts[(0.0, 0.0)]
         assert cells[0] == 0 and cells[3] == 0
 
@@ -217,7 +216,7 @@ class TestRunExperiment:
     def test_sharded_determinism_and_totals(self):
         kwargs = dict(
             model=triangle_colouring(),
-            sampler=FixedPairSampler(0.3, 1.1),
+            sampler=GridSampler([(0.3, 1.1)]),
             n_runs=9001,
             seed=5,
         )
@@ -232,7 +231,7 @@ class TestRunExperiment:
         n = 10**5
         for beta in (0.4, 1.2, 2.5):
             table = run_experiment(
-                model=c, sampler=FixedPairSampler(0.0, beta), n_runs=n, seed=11
+                model=c, sampler=GridSampler([(0.0, beta)]), n_runs=n, seed=11
             )
             est, _ = empirical_correlation(table)[(0.0, beta)]
             assert est == pytest.approx(pl.evaluate(beta), abs=4 / math.sqrt(n))
@@ -252,9 +251,9 @@ class TestRunExperiment:
 
     def test_bad_arguments(self):
         with pytest.raises(TypeError):
-            run_experiment(sampler=FixedPairSampler(0, 0), n_runs=10, seed=0)
+            run_experiment(sampler=GridSampler([(0, 0)]), n_runs=10, seed=0)
         with pytest.raises(ValueError):
-            run_experiment(None, sampler=FixedPairSampler(0, 0), n_runs=0, seed=0)
+            run_experiment(None, sampler=GridSampler([(0, 0)]), n_runs=0, seed=0)
 
     def test_empty_grid_sampler(self):
         with pytest.raises(InvalidSampler):
@@ -264,7 +263,7 @@ class TestRunExperiment:
     def test_non_finite_settings_rejected(self, x):
         # the colour lookup has no colour for them
         with pytest.raises(InvalidSampler, match="finite"):
-            FixedPairSampler(x, 0.0)
+            GridSampler([(x, 0.0)])
         with pytest.raises(InvalidSampler, match="finite"):
             GridSampler([(0.0, 1.0), (0.0, x)])
 

@@ -95,6 +95,33 @@ class TestFixedK:
         assert r1.distance == r2.distance
         assert r1.best_model == r2.best_model
 
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_reports_the_triangle_not_a_disguise(self, k):
+        # every start ends at the triangle or within rounding of it, some
+        # with switches at 1e-12 or next to pi: none is a gain
+        res = optimise_fixed_k(k, n_starts=32, seed=0)
+        assert res.best_model.components[0][1].switches == ()
+        assert res.distance == l2_distance_to_cosine(exact_correlation(triangle_colouring()))
+
+    def test_search_end_point_pinned(self, monkeypatch):
+        # this start ends D_triangle + 2.9e-13 away with four switches, so
+        # the triangle is reported; the end point pins the search iterates
+        ends = []
+        lbfgsb = spindisk.optimize._lbfgsb
+
+        def recording(*args):
+            res = lbfgsb(*args)
+            ends.append(res.x)
+            return res
+
+        monkeypatch.setattr(spindisk.optimize, "_lbfgsb", recording)
+        res = optimise_fixed_k(4, n_starts=1, seed=2)
+        assert len(ends) == 1
+        assert _search_point(ends[0])[0].switches == (
+            1.8893126657329475e-06, 9.185777261062358e-06, 0.00015002395105879004, 3.1415926535866516,
+        )
+        assert res.best_model == as_mixture(triangle_colouring())
+
     def test_odd_k_rejected(self):
         with pytest.raises(ValidationError):
             optimise_fixed_k(3)
@@ -142,6 +169,13 @@ class TestMonotone:
         res = optimise_fixed_k(0, monotone=True)
         assert res.constraint == "monotone"
         assert res.distance == pytest.approx(D_TRIANGLE, abs=1e-12)
+
+    def test_no_feasible_start_reports_triangle(self):
+        # this start is drawn and ends oscillating; the triangle is monotone
+        res = optimise_fixed_k(2, n_starts=1, seed=3, monotone=True)
+        assert res.best_model == as_mixture(triangle_colouring())
+        assert res.feasible_starts == 0
+        assert res.trace == [(0, res.distance)]
 
     def test_k2_result_is_monotone(self):
         res = optimise_fixed_k(2, n_starts=8, seed=1, monotone=True)
