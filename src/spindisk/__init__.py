@@ -33,7 +33,6 @@ from .spectral import (
     FIRST_HARMONIC_COEFF_BOUND,
     Spectrum,
     colouring_spectrum,
-    correlation_spectrum,
     first_harmonic_bound_check,
     gull_diagnostic,
     spectrum,
@@ -74,7 +73,6 @@ __all__ = [
     "FIRST_HARMONIC_COEFF_BOUND",
     "Spectrum",
     "colouring_spectrum",
-    "correlation_spectrum",
     "first_harmonic_bound_check",
     "gull_diagnostic",
     "spectrum",

@@ -13,8 +13,10 @@ The curve is built in three steps: _kinks collects the kink positions and
 weights, _half_curve sums them into breakpoints and values on [0, pi], and
 evenness reflects those onto the full period.  The L2 and sup distances
 are one-pass formulas over piecewise-linear arrays; the public functions
-apply them to a curve's full-period pieces, and the L2 optimiser to the
-half-period arrays, which give the same mean because rho and cos are even.
+apply them to a curve's full-period pieces, and the optimiser to the
+half-period arrays without building a curve: the L2 distance directly,
+because rho and cos are even and give the same mean over either
+interval, and the sup distance after reflecting them.
 """
 from __future__ import annotations
 
@@ -152,31 +154,6 @@ def exact_correlation(c: Colouring) -> PiecewiseLinearCorrelation:
 def mixture_correlation(m: Mixture | Colouring) -> PiecewiseLinearCorrelation:
     """Exact rho of a mixture: the kink weights of all components, pooled."""
     return _kink_curve(as_mixture(m).components)
-
-
-def inner_product(p: PiecewiseLinearCorrelation, q: PiecewiseLinearCorrelation) -> float:
-    """(1/2*pi) * integral of p*q over one period, exact per linear piece of the merged grid."""
-    bp = np.append(_dedupe_sorted(np.sort(np.concatenate([p.breakpoints, q.breakpoints]))), TWO_PI)
-    g0, g1, a1, b1 = _pieces(bp, p.sample(bp))
-    a2, b2 = _pieces(bp, q.sample(bp))[2:]
-    dg = g1 - g0
-    # integral of (a1*g + b1)(a2*g + b2) piece by piece
-    c2 = a1 * a2
-    c1 = a1 * b2 + a2 * b1
-    c0 = b1 * b2
-    total = np.sum(
-        c2 * (g1**3 - g0**3) / 3.0 + c1 * (g1**2 - g0**2) / 2.0 + c0 * dg
-    )
-    return float(total / TWO_PI)
-
-
-def cosine_inner_product(p: PiecewiseLinearCorrelation) -> float:
-    """(1/2*pi) * integral of p(gamma)*cos(gamma), exact per linear piece."""
-    g0, g1, a, b = p.pieces()
-    # antiderivative of (a*g + b)*cos g is (a*g + b)*sin g + a*cos g
-    upper = (a * g1 + b) * np.sin(g1) + a * np.cos(g1)
-    lower = (a * g0 + b) * np.sin(g0) + a * np.cos(g0)
-    return float(np.sum(upper - lower) / TWO_PI)
 
 
 def _l2_distance(bps: np.ndarray, values: np.ndarray) -> float:

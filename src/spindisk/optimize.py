@@ -6,14 +6,15 @@ Mixture search runs Frank-Wolfe over the convex hull of single-colouring
 correlations: the L2 objective is quadratic, so each convex step is
 line-searched in closed form.
 
-The objectives build no curve object.  A fixed-k evaluation takes the
-colouring's breakpoints and values on [0, pi] from its kink weights and
-measures them in one pass: rho and cos are even, so the half period
-gives the full-period L2 distance (the sup distance is taken over the
-reflected full period).  The Frank-Wolfe subproblem value
-<rho_c, rho_m + cos> is linear in rho_c; twice integrated by parts it is
-a dot product of the colouring's kink weights with a piecewise-cubic
-table built once per subproblem.
+The optimiser builds no curve object: objectives, reported distances,
+the monotone check and the Frank-Wolfe bookkeeping all measure a model's
+breakpoints and values on [0, pi], summed from its kink weights.  rho
+and cos are even, so the half period gives the full-period L2 distance
+(the sup distance is taken over the reflected full period).  The
+Frank-Wolfe subproblem value <rho_c, rho_m + cos> is linear in rho_c;
+twice integrated by parts it is a dot product of the colouring's kink
+weights with a piecewise-cubic table built once per mixture.  The
+Frank-Wolfe gap and step are differences of such values.
 
 The smooth searches, fixed-k L2 and the Frank-Wolfe subproblem, run
 L-BFGS-B on the exact gradient: each objective's derivative in the kink
@@ -24,8 +25,7 @@ to that chain's pieces; every objective and every colouring a search
 reports go through it, so a gradient search's value is the value-only
 objective's bit for bit.  The sup metric, a max, and the monotone
 penalty, which jumps, have no gradient and run the Nelder-Mead simplex
-on the value alone.  Reported distances, the Frank-Wolfe step and the
-mixture bookkeeping use the public curve functions.
+on the value alone.
 
 Every search is measured against the triangle wave, the zero-switch
 colouring: it is the starting best, and a candidate replaces the best
@@ -46,21 +46,7 @@ from .circle import (
     ANGLE_TOL, PI, TWO_PI, WEIGHT_TOL, Colouring, Mixture, ValidationError, as_mixture,
     mixture_to_dict, new_colouring, triangle_colouring,
 )
-from .correlation import (
-    PiecewiseLinearCorrelation,
-    _differences,
-    _full_period,
-    _half_curve,
-    _kinks,
-    _l2_distance,
-    _sup_distance,
-    cosine_inner_product,
-    exact_correlation,
-    inner_product,
-    l2_distance_to_cosine,
-    mixture_correlation,
-    sup_distance_to_cosine,
-)
+from .correlation import _differences, _full_period, _half_curve, _kinks, _l2_distance, _sup_distance
 from .spectral import FIRST_HARMONIC_COEFF_BOUND
 
 #: No classical curve can get closer to -cos than this in L2: the first
@@ -97,7 +83,7 @@ _CLIP = ANGLE_TOL
 #: triangle in disguise is within rounding, 1e-16 to 1e-13, of the triangle.
 _MIN_GAIN = 1e-12
 
-#: (d, w, slope0) of one colouring's kinks -> (value, derivative in each d)
+#: (d, w, slope0) of a model's kinks -> (value, derivative in each d)
 _KinkObjective = Callable[[np.ndarray, np.ndarray, float], tuple[float, np.ndarray]]
 
 
@@ -241,17 +227,15 @@ def _sup_objective(bps: np.ndarray, values: np.ndarray) -> float:
     value dips one ulp below the triangle's more often, and the simplex,
     whose fatol is far below one ulp, chases those dips (4.4 times the
     evaluations over 30 seeds at k = 2).  Over the full period the value
-    is the reported distance's, bit for bit.
+    is the public sup distance of the colouring's curve, bit for bit, and
+    the search reports it.
     """
     bps, values = _full_period(bps, values)
     return _sup_distance(np.append(bps, TWO_PI), np.append(values, values[0]))
 
 
-#: metric -> (distance of a curve, distance from half-period arrays)
-_METRICS = {
-    "L2": (l2_distance_to_cosine, _l2_distance),
-    "sup": (sup_distance_to_cosine, _sup_objective),
-}
+#: metric -> distance of the half-period arrays
+_METRICS = {"L2": _l2_distance, "sup": _sup_objective}
 
 
 def _guard_lower_bound(distance: float) -> None:
@@ -293,7 +277,7 @@ def optimise_fixed_k(
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
     if metric not in _METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
-    curve_distance, half_distance = _METRICS[metric]
+    distance = _METRICS[metric]
 
     if metric == "L2" and not monotone:
         value_and_grad = _with_gradient(_l2_with_gradient)
@@ -304,7 +288,7 @@ def optimise_fixed_k(
         # the sup metric is a max and the monotone penalty jumps: no gradient
         def objective(z: np.ndarray) -> float:
             bps, values = _half(_search_point(z)[0])
-            d = half_distance(bps, values)
+            d = distance(bps, values)
             if monotone:
                 v = _monotone_violation(bps, values)
                 if v > _MONOTONE_TOL:
@@ -321,7 +305,7 @@ def optimise_fixed_k(
 
     rng = np.random.default_rng(seed)
     best_c = triangle_colouring()
-    best_d = curve_distance(exact_correlation(best_c))
+    best_d = distance(*_half(best_c))
     trace: list[tuple[int, float]] = []
     feasible_starts = 0
     for start in range(n_starts if k else 0):
@@ -337,8 +321,9 @@ def optimise_fixed_k(
             feasible_starts += 1
 
         c = _search_point(search(z0).x)[0]
-        if not monotone or _monotone_violation(*_half(c)) <= _MONOTONE_TOL:
-            d = curve_distance(exact_correlation(c))
+        half = _half(c)
+        if not monotone or _monotone_violation(*half) <= _MONOTONE_TOL:
+            d = distance(*half)
             if d < best_d - _MIN_GAIN:
                 best_d, best_c = d, c
         trace.append((start, best_d))
@@ -352,10 +337,12 @@ def optimise_fixed_k(
     )
 
 
-def _linear_value(rho_m: PiecewiseLinearCorrelation) -> _KinkObjective:
+def _linear_value(bm: np.ndarray, vm: np.ndarray) -> _KinkObjective:
     """Kinks of c -> <rho_c, rho_m + cos> and its derivative in each kink position.
 
-    This is the Frank-Wolfe subproblem's objective.  Let G1 and G2 be the
+    rho_m is given by its half-period arrays (bm, vm), and c may be a
+    mixture as well as a colouring.  This is the Frank-Wolfe subproblem's
+    objective and its one inner-product engine.  Let G1 and G2 be the
     first and second antiderivatives from 0 of g = rho_m + cos on [0, pi].
     Integrating by parts twice, with rho_c(0) = -1, rho_c(pi) = 1,
     rho_c'(0+) = rho_c'(pi-) = s and rho_c'' = sum of w / (2*pi) at the
@@ -368,8 +355,6 @@ def _linear_value(rho_m: PiecewiseLinearCorrelation) -> _KinkObjective:
     is one searchsorted, one dot product and one more Horner step for G1:
     no curve is built.
     """
-    half = rho_m.breakpoints <= PI
-    bm, vm = rho_m.breakpoints[half], rho_m.values[half]
     dg = np.diff(bm)
     am = np.diff(vm) / dg
     # integrals of rho_m and of its antiderivative from 0 to each breakpoint
@@ -391,13 +376,12 @@ def _linear_value(rho_m: PiecewiseLinearCorrelation) -> _KinkObjective:
 
 
 def _linear_subproblem(
-    rho_m: PiecewiseLinearCorrelation,
+    lin: _KinkObjective,
     pool_ks: list[int],
     seed: int,
     n_starts: int,
 ) -> tuple[Colouring, float]:
-    """Approximately minimise <rho_m + cos, rho_c> over single colourings."""
-    lin = _linear_value(rho_m)
+    """Approximately minimise lin = <rho_c, rho_m + cos> over single colourings."""
     value_and_grad = _with_gradient(lin)
     best_c = triangle_colouring()
     best_v = lin(*_kinks(((1.0, best_c),)))[0]
@@ -437,31 +421,35 @@ def optimise_mixture(
     if subproblem_starts < 1:
         raise ValidationError(f"subproblem_starts must be >= 1, got {subproblem_starts}")
     pool = sorted(set(int(k) for k in pool_ks))
+    if not pool:
+        raise ValidationError("pool must name at least one k")
     for k in pool:
         if k < 0 or k % 2 != 0:
             raise ValidationError(f"pool entries must be even and >= 0, got {k}")
 
     # colouring -> weight, in insertion order
     model = {triangle_colouring(): 1.0}
-    best_model = as_mixture(triangle_colouring())
-    rho_m = mixture_correlation(best_model)
-    best_d = l2_distance_to_cosine(rho_m)
+    best_model = Mixture(((1.0, triangle_colouring()),))
+    kinks_m = _kinks(best_model.components)
+    half_m = _half_curve(*kinks_m)
+    lin, best_d = _linear_value(*half_m), _l2_distance(*half_m)
     trace: list[tuple[int, float]] = [(0, best_d)]
     gaps: list[float] = []
 
     seeds = np.random.SeedSequence(seed).generate_state(n_iterations)
     for it in range(1, n_iterations + 1):
-        c_new, lin_new = _linear_subproblem(rho_m, pool, int(seeds[it - 1]), subproblem_starts)
-        mm = inner_product(rho_m, rho_m)
-        lin_m = mm + cosine_inner_product(rho_m)
-        gap = lin_m - lin_new  # duality-gap estimate; >= 0 up to subproblem error
+        c_new, v_new = _linear_subproblem(lin, pool, int(seeds[it - 1]), subproblem_starts)
+        lin_m = lin(*kinks_m)[0]
+        gap = lin_m - v_new  # duality-gap estimate; >= 0 up to subproblem error
         gaps.append(gap)
         if gap <= _GAP_TOL:
             trace.append((it, best_d))
             break
 
-        pl_new = exact_correlation(c_new)
-        dd = inner_product(pl_new, pl_new) - 2.0 * inner_product(pl_new, rho_m) + mm
+        # ||rho_new - rho_m||^2 from the tables of rho_m (lin) and rho_new (lin_new)
+        kinks_new = _kinks(((1.0, c_new),))
+        lin_new = _linear_value(*_half_curve(*kinks_new))
+        dd = lin_new(*kinks_new)[0] - lin_new(*kinks_m)[0] - lin(*kinks_new)[0] + lin_m
         step = gap / dd if dd > 0 else 0.0
         step = min(max(step, 0.0), 1.0)
         if step <= 0.0:
@@ -477,8 +465,9 @@ def optimise_mixture(
         model = {c: w / total for c, w in model.items()}
 
         mixture = Mixture(tuple((w, c) for c, w in model.items()))
-        rho_m = mixture_correlation(mixture)
-        d = l2_distance_to_cosine(rho_m)
+        kinks_m = _kinks(mixture.components)
+        half_m = _half_curve(*kinks_m)
+        lin, d = _linear_value(*half_m), _l2_distance(*half_m)
         if d < best_d - _MIN_GAIN:
             best_d, best_model = d, mixture
         trace.append((it, best_d))

@@ -26,14 +26,13 @@ DEFAULT_N_MAX = 99
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Fourier data indexed n = 0..n_max.
+    """Fourier data indexed n = 0..n_max: arrays of n_max + 1 entries.
 
     colouring_coeffs holds complex fhat_n for a single colouring and is
     None for proper mixtures (whose colouring transform is random); power
     is E|fhat_n|^2 in either case.
     """
 
-    n_max: int
     colouring_coeffs: np.ndarray | None
     power: np.ndarray
     cosine_coeffs: np.ndarray
@@ -97,21 +96,7 @@ def spectrum(model: Colouring | Mixture, n_max: int = DEFAULT_N_MAX) -> Spectrum
         power += w * np.abs(fhat) ** 2
         if len(mix.components) == 1:
             coeffs = fhat
-    return Spectrum(n_max, coeffs, power, -2.0 * power)
-
-
-def correlation_spectrum(
-    obj: Colouring | Mixture | PiecewiseLinearCorrelation, n_max: int = DEFAULT_N_MAX
-) -> np.ndarray:
-    """Cosine coefficients a_n of rho, n = 0..n_max.
-
-    Colourings and mixtures go through the squared-transform identity;
-    a raw piecewise-linear curve is integrated directly.  The two routes
-    agree for model-generated curves.
-    """
-    if isinstance(obj, PiecewiseLinearCorrelation):
-        return pl_cosine_coeffs(obj, n_max)
-    return spectrum(obj, n_max).cosine_coeffs
+    return Spectrum(coeffs, power, -2.0 * power)
 
 
 def gull_diagnostic(s: Spectrum) -> GullReport:

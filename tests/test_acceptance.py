@@ -35,7 +35,7 @@ from spindisk import (
 from spindisk.cli import main as cli_main
 from spindisk.lattice import LatticeColouring
 from spindisk.montecarlo import classical_outcomes, quantum_outcomes
-from spindisk.spectral import correlation_spectrum, gull_diagnostic
+from spindisk.spectral import gull_diagnostic, pl_cosine_coeffs
 
 from conftest import random_colouring, random_mixture
 
@@ -122,8 +122,8 @@ def test_criterion_06_wiener_khinchin():
     rng = np.random.default_rng(6)
     for _ in range(50):
         c = random_colouring(rng, int(rng.choice([0, 2, 4, 6])))
-        via_power = correlation_spectrum(c, 25)
-        via_curve = correlation_spectrum(exact_correlation(c), 25)
+        via_power = spectrum(c, 25).cosine_coeffs
+        via_curve = pl_cosine_coeffs(exact_correlation(c), 25)
         assert np.max(np.abs(via_power - via_curve)) <= 1e-10
         assert np.max(np.abs(via_power[0::2])) <= 1e-12
     _report("6 Wiener-Khinchin", time.time() - t0, 60)

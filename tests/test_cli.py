@@ -220,6 +220,8 @@ class TestChsh:
     ["corr", "MODEL", "--grid", "0"],
     ["corr", "MODEL", "--grid", "-1"],
     ["demo-figure", "--grid", "0", "--outdir", "DIR"],
+    ["optimize", "--pool", ""],
+    ["optimize", "--pool", " , "],
 ])
 def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
     placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}

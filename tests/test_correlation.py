@@ -23,13 +23,12 @@ from spindisk.correlation import (
     _l2_distance,
     _sup_distance,
     check_invariants,
-    cosine_inner_product,
-    inner_product,
 )
 from spindisk.lattice import LatticeColouring, lattice_correlation
 from spindisk.optimize import MIN_L2_DISTANCE
 
 from conftest import colourings, mixtures, random_colouring, random_mixture
+from inner_product_oracle import cosine_inner_product, inner_product
 from overlap_oracle import overlap_correlation, overlap_mixture_correlation
 
 PI = math.pi

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.integrate import quad
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import expit
 
@@ -26,8 +27,6 @@ from spindisk.correlation import (
     _kinks,
     _l2_distance,
     check_invariants,
-    cosine_inner_product,
-    inner_product,
 )
 from spindisk.optimize import (
     _MONOTONE_TOL,
@@ -40,10 +39,12 @@ from spindisk.optimize import (
     _with_gradient,
 )
 
-from conftest import colourings, mixtures
+from conftest import colourings, mixtures, random_colouring, random_mixture
+from inner_product_oracle import cosine_inner_product, inner_product
 from nelder_mead_oracle import nelder_mead_fixed_k
 
 PI = math.pi
+TWO_PI = 2 * math.pi
 D_TRIANGLE = math.sqrt(5 / 6 - 8 / PI**2)
 
 
@@ -51,6 +52,11 @@ def is_monotone(model):
     """rho of a colouring or mixture is non-decreasing on (0, pi)."""
     half = _half_curve(*_kinks(as_mixture(model).components))
     return _monotone_violation(*half) <= _MONOTONE_TOL
+
+
+def table(model):
+    """The Frank-Wolfe table <rho_c, rho_model + cos> of a colouring or mixture."""
+    return _linear_value(*_half_curve(*_kinks(as_mixture(model).components)))
 
 
 def trace_is_non_increasing(trace):
@@ -133,15 +139,27 @@ class TestFixedK:
             optimise_fixed_k(2, n_starts=n_starts, monotone=monotone)
 
     def test_objective_builds_no_curves(self, monkeypatch):
-        built = []
+        """No search, report or Frank-Wolfe step builds a curve object."""
 
-        def counting(c):
-            built.append(c)
-            return exact_correlation(c)
+        def refuse(components):
+            raise AssertionError("the optimiser built a curve")
 
-        monkeypatch.setattr(spindisk.optimize, "exact_correlation", counting)
+        monkeypatch.setattr(spindisk.correlation, "_kink_curve", refuse)
+        with pytest.raises(AssertionError, match="built a curve"):
+            exact_correlation(triangle_colouring())
         optimise_fixed_k(2, n_starts=2)
-        assert len(built) < 10
+        optimise_fixed_k(2, metric="sup", n_starts=2)
+        optimise_fixed_k(2, n_starts=2, monotone=True)
+        optimise_mixture([0, 2, 4], n_iterations=2, subproblem_starts=2)
+
+        # a real pool search stops at iteration 1 with gap 0; this subproblem's
+        # gap is above _GAP_TOL, so the step and the mixture bookkeeping run
+        def subproblem(lin, pool_ks, seed, n_starts):
+            c = new_colouring([2.0, 2.5])
+            return c, lin(*_kinks(((1.0, c),)))[0] - 0.06
+
+        monkeypatch.setattr(spindisk.optimize, "_linear_subproblem", subproblem)
+        assert optimise_mixture([0, 2], n_iterations=1).gaps[0] > 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("k", [2, 4])
@@ -210,7 +228,24 @@ class TestArrayObjectives:
         rho_m = mixture_correlation(m)
         pl = exact_correlation(c)
         want = inner_product(pl, rho_m) + cosine_inner_product(pl)
-        assert abs(_linear_value(rho_m)(*_kinks(((1.0, c),)))[0] - want) <= 1e-12
+        assert abs(table(m)(*_kinks(((1.0, c),)))[0] - want) <= 1e-12
+
+    def test_frank_wolfe_table_vs_quadrature(self, rng):
+        """<rho_c, rho_m + cos> and the step's ||rho_c - rho_m||^2 against scipy's quad."""
+        for _ in range(6):
+            m, c = random_mixture(rng), random_colouring(rng, int(rng.choice([0, 2, 4, 6])))
+            rho_m, rho_c = mixture_correlation(m), exact_correlation(c)
+            points = np.union1d(rho_m.breakpoints, rho_c.breakpoints)
+
+            def mean(f):
+                return quad(f, 0.0, TWO_PI, points=points, limit=500)[0] / TWO_PI
+
+            km, kc = _kinks(m.components), _kinks(((1.0, c),))
+            lin_m, lin_c = table(m), table(c)
+            want = mean(lambda g: rho_c.evaluate(g) * (rho_m.evaluate(g) + math.cos(g)))
+            assert lin_m(*kc)[0] == pytest.approx(want, abs=1e-10)
+            dd = lin_c(*kc)[0] - lin_c(*km)[0] - lin_m(*kc)[0] + lin_m(*km)[0]
+            assert dd == pytest.approx(mean(lambda g: (rho_c.evaluate(g) - rho_m.evaluate(g)) ** 2), abs=1e-10)
 
 
 @st.composite
@@ -280,7 +315,7 @@ class TestGradients:
     @example(Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5, 2.0])))), COLLAPSED_START)
     @example(Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5, 2.0])))), CLIPPED_START)
     def test_frank_wolfe_gradient(self, m, point):
-        lin = _linear_value(mixture_correlation(m))
+        lin = table(m)
 
         def value_only(z):
             return lin(*_kinks(((1.0, _search_point(z)[0]),)))[0]
@@ -293,6 +328,7 @@ class TestMixture:
         res = optimise_mixture([0], n_iterations=5, seed=0)
         assert res.distance == pytest.approx(D_TRIANGLE, abs=1e-12)
         assert len(res.best_model.components) == 1
+        assert res.gaps == [0.0]
 
     def test_pool_024(self):
         res = optimise_mixture([0, 2, 4], n_iterations=10, seed=1, subproblem_starts=4)
@@ -300,6 +336,8 @@ class TestMixture:
         assert res.distance >= MIN_L2_DISTANCE - 1e-9
         assert trace_is_non_increasing(res.trace)
         check_invariants(mixture_correlation(res.best_model))
+        # the triangle's subproblem value and the gap's lin(m) come from one table
+        assert res.gaps == [0.0]
 
     def test_reproducible(self):
         r1 = optimise_mixture([0, 2], n_iterations=3, seed=4, subproblem_starts=2)
@@ -310,43 +348,44 @@ class TestMixture:
         with pytest.raises(ValueError):
             optimise_mixture([0, 2], metric="sup")
 
-    @pytest.mark.parametrize("kwargs", [{"n_iterations": 0}, {"subproblem_starts": 0}])
+    @pytest.mark.parametrize("kwargs", [{"n_iterations": 0}, {"subproblem_starts": 0}, {"pool_ks": []}])
     def test_empty_search_rejected(self, kwargs):
         with pytest.raises(ValidationError):
-            optimise_mixture([0, 2], **kwargs)
+            optimise_mixture(**{"pool_ks": [0, 2], **kwargs})
 
     def test_frank_wolfe_steps(self, monkeypatch):
         """The step, merge, prune and renormalise bookkeeping, pinned bit for bit.
 
         The L2 subproblem from the triangle stops at iteration 1, so a stub
         returns a fixed sequence of colourings whose reported value is
-        _linear_value less an offset: two fractional steps, a repeated
+        the table's value less an offset: two fractional steps, a repeated
         colouring whose weight is merged, and a step of 1 that prunes
-        every other component.
+        every other component.  Every mixture the optimiser builds is
+        recorded.
         """
         steps = iter([
             ([2.0, 2.5], 0.06), ([1.5, 1.7], 0.06), ([2.0, 2.5], 0.08), ([0.3, 0.8, 1.2, 2.9], 10.0),
         ])
 
-        def subproblem(rho_m, pool_ks, seed, n_starts):
+        def subproblem(lin, pool_ks, seed, n_starts):
             theta, offset = next(steps)
             c = new_colouring(theta)
-            return c, _linear_value(rho_m)(*_kinks(((1.0, c),)))[0] - offset
+            return c, lin(*_kinks(((1.0, c),)))[0] - offset
 
         seen = []
 
-        def recording(m):
-            seen.append([(w, c.switches) for w, c in m.components])
-            return mixture_correlation(m)
+        def recording(components):
+            seen.append([(w, c.switches) for w, c in components])
+            return Mixture(components)
 
         monkeypatch.setattr(spindisk.optimize, "_linear_subproblem", subproblem)
-        monkeypatch.setattr(spindisk.optimize, "mixture_correlation", recording)
+        monkeypatch.setattr(spindisk.optimize, "Mixture", recording)
         res = optimise_mixture([0, 2, 4], n_iterations=4)
         assert seen == [
             [(1.0, ())],
-            [(0.8963577447383951, ()), (0.10364225526160485, (2.0, 2.5))],
-            [(0.379310573920468, ()), (0.0438581621639968, (2.0, 2.5)), (0.5768312639155352, (1.5, 1.7))],
-            [(0.1623897345989146, ()), (0.5906583418429491, (2.0, 2.5)), (0.2469519235581363, (1.5, 1.7))],
+            [(0.8963577447384026, ()), (0.10364225526159737, (2.0, 2.5))],
+            [(0.3793105739205105, ()), (0.043858162163998175, (2.0, 2.5)), (0.5768312639154913, (1.5, 1.7))],
+            [(0.16238973459898765, ()), (0.5906583418428114, (2.0, 2.5)), (0.24695192355820098, (1.5, 1.7))],
             [(1.0, (0.3, 0.8, 1.2, 2.9))],
         ]
         d_tri = 0.15087698364770957
@@ -356,7 +395,7 @@ class TestMixture:
             "model": {"components": [{"w": 1.0, "theta": []}]},
             "trace": [[0, d_tri], [1, d_tri], [2, d_tri], [3, d_tri], [4, d_tri]],
             "constraint": "none",
-            "gaps": [0.01269998352258292, 0.025465603152428906, 0.03386984921606054, 9.974005866979212],
+            "gaps": [0.012699983522581879, 0.025465603152428587, 0.03386984921605658, 9.9740058669792],
         }
 
     def test_prune_before_renormalise(self, monkeypatch):
@@ -367,20 +406,21 @@ class TestMixture:
         """
         c = new_colouring([0.3, 0.8, 1.2, 2.9])
 
-        def subproblem(rho_m, pool_ks, seed, n_starts):
+        def subproblem(lin, pool_ks, seed, n_starts):
             # the value that makes optimise_mixture's line search step 1 - 1e-13
-            pl, mm = exact_correlation(c), inner_product(rho_m, rho_m)
-            dd = inner_product(pl, pl) - 2.0 * inner_product(pl, rho_m) + mm
-            return c, mm + cosine_inner_product(rho_m) - (1.0 - 1e-13) * dd
+            tri, kc = _kinks(((1.0, triangle_colouring()),)), _kinks(((1.0, c),))
+            lin_c = table(c)
+            dd = lin_c(*kc)[0] - lin_c(*tri)[0] - lin(*kc)[0] + lin(*tri)[0]
+            return c, lin(*tri)[0] - (1.0 - 1e-13) * dd
 
         seen = []
 
-        def recording(m):
-            seen.append([(w, c.switches) for w, c in m.components])
-            return mixture_correlation(m)
+        def recording(components):
+            seen.append([(w, c.switches) for w, c in components])
+            return Mixture(components)
 
         monkeypatch.setattr(spindisk.optimize, "_linear_subproblem", subproblem)
-        monkeypatch.setattr(spindisk.optimize, "mixture_correlation", recording)
+        monkeypatch.setattr(spindisk.optimize, "Mixture", recording)
         optimise_mixture([0, 4], n_iterations=1)
         assert seen == [[(1.0, ())], [(1.0, c.switches)]]
 

@@ -5,7 +5,6 @@ import pytest
 
 from spindisk import (
     colouring_spectrum,
-    correlation_spectrum,
     exact_correlation,
     first_harmonic_bound_check,
     gull_diagnostic,
@@ -14,7 +13,7 @@ from spindisk import (
     spectrum,
     triangle_colouring,
 )
-from spindisk.spectral import FIRST_HARMONIC_COEFF_BOUND, Spectrum
+from spindisk.spectral import FIRST_HARMONIC_COEFF_BOUND, Spectrum, pl_cosine_coeffs
 
 from colour_oracle import _colours_at
 from conftest import random_colouring, random_mixture
@@ -51,17 +50,17 @@ class TestColouringSpectrum:
 
 class TestCorrelationSpectrum:
     def test_triangle_a1_a3(self):
-        a = correlation_spectrum(triangle_colouring(), 5)
+        a = spectrum(triangle_colouring(), 5).cosine_coeffs
         assert a[1] == pytest.approx(-8 / PI**2, abs=1e-12)
         assert a[3] == pytest.approx(-8 / (9 * PI**2), abs=1e-12)
 
     def test_even_coefficients_vanish(self, rng):
-        a = correlation_spectrum(random_mixture(rng), 20)
+        a = spectrum(random_mixture(rng), 20).cosine_coeffs
         assert np.max(np.abs(a[0::2])) < 1e-12
 
     def test_nonpositive(self, rng):
         for _ in range(5):
-            a = correlation_spectrum(random_mixture(rng), 25)
+            a = spectrum(random_mixture(rng), 25).cosine_coeffs
             assert np.all(a <= 1e-12)
 
     def test_wiener_khinchin_consistency(self, rng):
@@ -69,14 +68,14 @@ class TestCorrelationSpectrum:
         for _ in range(50):
             k = int(rng.choice([0, 2, 4, 6]))
             c = random_colouring(rng, k)
-            via_power = correlation_spectrum(c, 25)
-            via_curve = correlation_spectrum(exact_correlation(c), 25)
+            via_power = spectrum(c, 25).cosine_coeffs
+            via_curve = pl_cosine_coeffs(exact_correlation(c), 25)
             assert np.max(np.abs(via_power - via_curve)) < 1e-10
 
     def test_mixture_consistency(self, rng):
         m = random_mixture(rng)
-        via_power = correlation_spectrum(m, 25)
-        via_curve = correlation_spectrum(mixture_correlation(m), 25)
+        via_power = spectrum(m, 25).cosine_coeffs
+        via_curve = pl_cosine_coeffs(mixture_correlation(m), 25)
         assert np.max(np.abs(via_power - via_curve)) < 1e-10
 
     def test_parseval_partial_sum(self, rng):
@@ -90,7 +89,7 @@ class TestGullDiagnostic:
         # -cos alone: a_1 = -1, so E|fhat_1|^2 = 1/2, and nothing else
         power, a = np.zeros(100), np.zeros(100)
         power[1], a[1] = 0.5, -1.0
-        report = gull_diagnostic(Spectrum(99, None, power, a))
+        report = gull_diagnostic(Spectrum(None, power, a))
         assert report.nonzero_count == 1
         assert report.tail_mass == 0.0
         assert report.parseval_residual == pytest.approx(0.0, abs=1e-15)
