@@ -38,6 +38,7 @@ from .montecarlo import (
 )
 from .optimize import InfeasibleStart, optimise_fixed_k, optimise_mixture
 from .spectral import (
+    DEFAULT_N_MAX,
     first_harmonic_bound_check,
     gull_diagnostic,
     spectrum,
@@ -133,6 +134,15 @@ class _Group(click.Group):
             sys.exit(2)
 
 
+def _check_seed(ctx: click.Context, param: click.Parameter, seed: int) -> int:
+    if seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
+_seed_option = click.option("--seed", default=0, show_default=True, callback=_check_seed)
+
+
 @click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main() -> None:
@@ -154,7 +164,7 @@ def cmd_corr(model_file: str, grid: int, out: str) -> None:
 @main.command("demo-figure")
 @click.option("--nswitch", default=4, show_default=True, help="Even switch count per panel.")
 @click.option("--panels", default=12, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--grid", default=721, show_default=True)
 @click.option("--outdir", default=".", show_default=True, type=click.Path(file_okay=False))
 def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str) -> None:
@@ -186,7 +196,7 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
 @click.option("--beta", type=float, default=None, help="Fixed setting of station B (default 0); not with --grid.")
 @click.option("--grid", "grid_pairs", type=int, default=None, help="Use setting pairs (0, 2*pi*j/GRID).")
 @click.option("--runs", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> None:
     """Run the experiment and write counts plus empirical correlations."""
@@ -215,7 +225,7 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
 
 @main.command("spectrum")
 @click.argument("model_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--nmax", default=99, show_default=True)
+@click.option("--nmax", default=DEFAULT_N_MAX, show_default=True)
 @click.option("--out", default="-", show_default=True, help="CSV spectrum destination.")
 @click.option("--report", default="-", show_default=True, help="JSON diagnostic destination.")
 def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
@@ -245,7 +255,7 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
 @click.option("--monotone", is_flag=True)
 @click.option("--starts", default=32, show_default=True)
 @click.option("--iterations", default=50, show_default=True, help="Frank-Wolfe iterations (pool mode).")
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out) -> None:
     """Search for the model correlation closest to -cos."""

@@ -1,10 +1,10 @@
 """Search for the classical correlation closest to the quantum -cos curve.
 
-Single-colouring search is multi-start over switch angles, parametrised
-through a sorted logistic map so the ordering constraint is structural.
-Mixture search runs Frank-Wolfe over the convex hull of single-colouring
-correlations: the L2 objective is quadratic, so each convex step is
-line-searched in closed form.
+Single-colouring search is multi-start over the switch angles themselves,
+bounded to (0, pi) by the solvers' own box bounds.  Mixture search runs
+Frank-Wolfe over the convex hull of single-colouring correlations: the
+L2 objective is quadratic, so each convex step is line-searched in
+closed form.
 
 The optimiser builds no curve object: objectives, reported distances,
 the monotone check and the Frank-Wolfe bookkeeping all measure a model's
@@ -19,13 +19,12 @@ Frank-Wolfe gap and step are differences of such values.
 The smooth searches, fixed-k L2 and the Frank-Wolfe subproblem, run
 L-BFGS-B on the exact gradient: each objective's derivative in the kink
 positions (one cumulative integral, or one more Horner step of the
-table) is chained through the switch differences and the logistic map.
-One function, `_search_point`, maps the parameters to the colouring and
-to that chain's pieces; every objective and every colouring a search
-reports go through it, so a gradient search's value is the value-only
-objective's bit for bit.  The sup metric, a max, and the monotone
-penalty, which jumps, have no gradient and run the Nelder-Mead simplex
-on the value alone.
+table) is summed over the switch differences.  One function,
+`_search_point`, maps the angles to the colouring; every objective and
+every colouring a search reports go through it, so a gradient search's
+value is the value-only objective's bit for bit.  The sup metric, a max,
+and the monotone penalty, which jumps, have no gradient and run the
+Nelder-Mead simplex on the value alone.
 
 Every search is measured against the triangle wave, the zero-switch
 colouring: it is the starting best, and a candidate replaces the best
@@ -75,9 +74,9 @@ _SUBPROBLEM_MAX_ITER = 200
 #: Frank-Wolfe stops once its duality-gap estimate is at most this.
 _GAP_TOL = 1e-9
 
-#: Logistic values are clipped to [_CLIP, 1 - _CLIP]: a clipped switch stays
-#: pi*ANGLE_TOL > ANGLE_TOL away from 0 and pi, as Colouring requires.
-_CLIP = ANGLE_TOL
+#: Box bounds of every switch angle a search tries: a switch on a bound
+#: stays pi*ANGLE_TOL > ANGLE_TOL away from 0 and pi, as Colouring requires.
+_BOUNDS = (PI * ANGLE_TOL, PI * (1.0 - ANGLE_TOL))
 
 #: A candidate replaces the best only if it is lower by more than this; a
 #: triangle in disguise is within rounding, 1e-16 to 1e-13, of the triangle.
@@ -134,64 +133,62 @@ def _surviving(theta: list[float]) -> list[int]:
     return keep
 
 
-def _search_point(z: np.ndarray) -> tuple[Colouring, np.ndarray, list[int], list[float]]:
-    """The colouring of logistic parameters z, and what its gradient chain needs.
+def _search_point(theta: np.ndarray) -> tuple[Colouring, np.ndarray, list[int]]:
+    """Colouring of sort(theta) less the pairs _surviving collapses; theta's argsort; the kept positions."""
+    order = theta.argsort()  # not np.argsort: its dispatch costs ~2 us a call on arrays this small
+    th = theta[order].tolist()
+    keep = _surviving(th)
+    return new_colouring([th[m] for m in keep]), order, keep
 
-    The switches are theta = pi * sort(clip(expit(z))), less the pairs
-    _surviving collapses.  Also returns the argsort order of the clipped
-    logistic values, the surviving positions in that order, and
-    dtheta/dz in z's order: pi*s*(1 - s), or 0 where the clip holds.
-    dtheta/dz is a list because value-only evaluations pay for it too: at
-    k = 2..8 a comprehension takes 0.4-0.9 us, numpy 2.9 us (2-vCPU Xeon VM).
-    """
+
+def _start(rng: np.random.Generator, k: int) -> tuple[np.ndarray, Colouring]:
+    """Start angles pi * expit(z), z ~ N(0, 1.5^2), and their colouring, all k switches 1e-6 apart."""
     from scipy.special import expit  # scipy loads only when an optimiser runs
 
-    s = expit(z)
-    # not np.clip / np.argsort: their dispatch costs ~2 us a call on arrays this small
-    clipped = np.minimum(np.maximum(s, _CLIP), 1.0 - _CLIP)
-    order = clipped.argsort()
-    th = (clipped[order] * PI).tolist()
-    keep = _surviving(th)
-    dtheta_dz = [PI * (x * (1.0 - x)) if _CLIP <= x <= 1.0 - _CLIP else 0.0 for x in s.tolist()]
-    return new_colouring([th[m] for m in keep]), order, keep, dtheta_dz
+    for _ in range(100):
+        theta0 = PI * expit(rng.normal(scale=1.5, size=k))
+        c0 = _search_point(theta0)[0]
+        if c0.k == k and np.all(np.diff(c0.switches) > 1e-6):
+            return theta0, c0
+    raise InfeasibleStart(f"no non-degenerate start found for k={k} after 100 draws")
 
 
 def _with_gradient(kink_objective: _KinkObjective) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """z -> (value, gradient) of an objective of the kinks of _search_point(z)'s colouring.
+    """theta -> (value, gradient) of an objective of the kinks of _search_point(theta)'s colouring.
 
     kink_objective(d, w, slope0) returns the value and its derivative in
     each kink position.  Kink d = f_j - f_i of the full switch set f moves
     with +1 times f_j and -1 times f_i.  A switch and its copy at +pi share
-    one theta; the forced switches at 0 and pi, the switches of a collapsed
-    pair and clipped logistic entries move nothing.
+    one theta; the forced switches at 0 and pi and the switches of a
+    collapsed pair move nothing.
     """
 
-    def value_and_grad(z: np.ndarray) -> tuple[float, np.ndarray]:
-        k = z.size
-        c, order, keep, dtheta_dz = _search_point(z)
+    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        k = theta.size
+        c, order, keep = _search_point(theta)
         diffs, jumps, mask = _differences(c)
         i, j = np.nonzero(mask)
         value, dd = kink_objective(diffs[i, j], jumps[i] * jumps[j], 2.0 * jumps.size)
         owner = np.array([k, *keep, k, *keep])
         dtheta = np.bincount(owner[j], dd, k + 1) - np.bincount(owner[i], dd, k + 1)
         grad = np.empty(k)
-        grad[order] = dtheta[:k] * np.take(dtheta_dz, order)
+        grad[order] = dtheta[:k]
         return value, grad
 
     return value_and_grad
 
 
-def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], z0: np.ndarray, max_iter: int):
-    """L-BFGS-B from z0 on an objective that returns its exact gradient.
+def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], theta0: np.ndarray, max_iter: int):
+    """L-BFGS-B from theta0 inside _BOUNDS on an objective that returns its exact gradient.
 
     Both tolerances sit near rounding: with gtol = 1e-9, k = 4 searches
-    ended up to 1.6e-10 above the Nelder-Mead distance, and searches that
-    walk a switch towards 0 or pi see gradients that shrink with it.
+    ended up to 1.6e-10 above the Nelder-Mead distance.
     """
     from scipy.optimize import minimize
 
     options = {"ftol": _FATOL, "gtol": 1e-12, "maxiter": max_iter}
-    return minimize(value_and_grad, z0, method="L-BFGS-B", jac=True, options=options)
+    bounds = [_BOUNDS] * theta0.size
+    return minimize(value_and_grad, theta0, method="L-BFGS-B", jac=True, bounds=bounds, options=options)
 
 
 def _l2_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[float, np.ndarray]:
@@ -260,11 +257,12 @@ def optimise_fixed_k(
     The search collapses coincident switch pairs (_surviving), so a start
     may end with fewer switches, down to the triangle wave.  The triangle
     is the starting best, and a start replaces the best only if it is
-    closer by more than _MIN_GAIN.  Each start runs L-BFGS-B on the exact
-    gradient for the L2 metric, and the Nelder-Mead simplex, with step
-    tolerance _XATOL, for the sup metric or with monotone=True; _MAX_ITER
-    caps either.  trace holds (start, best distance after it) for every
-    start; k = 0 runs no start and its trace is [(0, triangle distance)].
+    closer by more than _MIN_GAIN.  Each start (_start) runs L-BFGS-B on
+    the exact gradient for the L2 metric, and the Nelder-Mead simplex, with
+    step tolerance _XATOL, for the sup metric or with monotone=True; both
+    stay inside _BOUNDS and _MAX_ITER caps either.  trace holds (start,
+    best distance after it) for every start; k = 0 runs no start and its
+    trace is [(0, triangle distance)].
     With monotone=True, oscillating candidates are penalised and never
     replace the best, and the starts drawn monotone are counted (all of
     them at k = 0).  The triangle is monotone, so there is always a result.
@@ -282,12 +280,12 @@ def optimise_fixed_k(
     if metric == "L2" and not monotone:
         value_and_grad = _with_gradient(_l2_with_gradient)
 
-        def search(z0: np.ndarray):
-            return _lbfgsb(value_and_grad, z0, _MAX_ITER)
+        def search(theta0: np.ndarray):
+            return _lbfgsb(value_and_grad, theta0, _MAX_ITER)
     else:
         # the sup metric is a max and the monotone penalty jumps: no gradient
-        def objective(z: np.ndarray) -> float:
-            bps, values = _half(_search_point(z)[0])
+        def objective(theta: np.ndarray) -> float:
+            bps, values = _half(_search_point(theta)[0])
             d = distance(bps, values)
             if monotone:
                 v = _monotone_violation(bps, values)
@@ -295,13 +293,9 @@ def optimise_fixed_k(
                     d += 1e3 + v
             return d
 
-        def search(z0: np.ndarray):
-            return minimize(
-                objective,
-                z0,
-                method="Nelder-Mead",
-                options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER},
-            )
+        def search(theta0: np.ndarray):
+            options = {"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER}
+            return minimize(objective, theta0, method="Nelder-Mead", bounds=[_BOUNDS] * k, options=options)
 
     rng = np.random.default_rng(seed)
     best_c = triangle_colouring()
@@ -309,18 +303,11 @@ def optimise_fixed_k(
     trace: list[tuple[int, float]] = []
     feasible_starts = 0
     for start in range(n_starts if k else 0):
-        # a start keeps all k switches, 1e-6 apart
-        for _ in range(100):
-            z0 = rng.normal(scale=1.5, size=k)
-            c0 = _search_point(z0)[0]
-            if c0.k == k and np.all(np.diff(c0.switches) > 1e-6):
-                break
-        else:
-            raise InfeasibleStart(f"no non-degenerate start found for k={k} after 100 draws")
+        theta0, c0 = _start(rng, k)
         if monotone and _monotone_violation(*_half(c0)) <= _MONOTONE_TOL:
             feasible_starts += 1
 
-        c = _search_point(search(z0).x)[0]
+        c = _search_point(search(theta0).x)[0]
         half = _half(c)
         if not monotone or _monotone_violation(*half) <= _MONOTONE_TOL:
             d = distance(*half)
@@ -390,8 +377,7 @@ def _linear_subproblem(
         if k == 0:
             continue  # triangle already evaluated
         for _ in range(n_starts):
-            z0 = rng.normal(scale=1.5, size=k)
-            res = _lbfgsb(value_and_grad, z0, _SUBPROBLEM_MAX_ITER)
+            res = _lbfgsb(value_and_grad, _start(rng, k)[0], _SUBPROBLEM_MAX_ITER)
             c = _search_point(res.x)[0]
             # not res.fun: after an ABNORMAL line-search exit it need not be the value at res.x
             v = lin(*_kinks(((1.0, c),)))[0]

@@ -2,6 +2,8 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import spindisk
 from spindisk.cli import main
 
 PI = math.pi
@@ -222,6 +225,9 @@ class TestChsh:
     ["demo-figure", "--grid", "0", "--outdir", "DIR"],
     ["optimize", "--pool", ""],
     ["optimize", "--pool", " , "],
+    ["sim", "--quantum", "--seed", "-1"],
+    ["optimize", "--k", "2", "--seed", "-1"],
+    ["demo-figure", "--seed", "-1", "--outdir", "DIR"],
 ])
 def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
     placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}
@@ -279,3 +285,12 @@ def test_discarded_invocations_do_not_keep_their_output(model_file, tmp_path):
     # ~1.7 KB per error line with its stream's buffers.
     assert _traced_growth(corr(model_file, 0), 50) < 2**20
     assert _traced_growth(corr(str(bad), 2), 200) < 100 * 2**10
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only when an optimiser runs: with it, the import's RSS was 78 MB, not 29
+    code = "import sys, spindisk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.dirname(os.path.dirname(spindisk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

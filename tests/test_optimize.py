@@ -5,7 +5,6 @@ import pytest
 import scipy.optimize
 from scipy.integrate import quad
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.special import expit
 
 from spindisk import (
     MIN_L2_DISTANCE,
@@ -59,6 +58,19 @@ def table(model):
     return _linear_value(*_half_curve(*_kinks(as_mixture(model).components)))
 
 
+def record_lbfgsb(monkeypatch):
+    """The list every later optimize._lbfgsb result is appended to."""
+    ends = []
+    lbfgsb = spindisk.optimize._lbfgsb
+
+    def recording(*args):
+        ends.append(lbfgsb(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(spindisk.optimize, "_lbfgsb", recording)
+    return ends
+
+
 def trace_is_non_increasing(trace):
     vals = [v for _, v in trace]
     return all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -110,23 +122,22 @@ class TestFixedK:
         assert res.distance == l2_distance_to_cosine(exact_correlation(triangle_colouring()))
 
     def test_search_end_point_pinned(self, monkeypatch):
-        # this start ends D_triangle + 2.9e-13 away with four switches, so
+        # this start ends after 3 iterations with a pair collapsed on the
+        # lower bound and two switches left, D_triangle + 2.9e-12 away, so
         # the triangle is reported; the end point pins the search iterates
-        ends = []
-        lbfgsb = spindisk.optimize._lbfgsb
-
-        def recording(*args):
-            res = lbfgsb(*args)
-            ends.append(res.x)
-            return res
-
-        monkeypatch.setattr(spindisk.optimize, "_lbfgsb", recording)
+        ends = record_lbfgsb(monkeypatch)
         res = optimise_fixed_k(4, n_starts=1, seed=2)
-        assert len(ends) == 1
-        assert _search_point(ends[0])[0].switches == (
-            1.8893126657329475e-06, 9.185777261062358e-06, 0.00015002395105879004, 3.1415926535866516,
-        )
+        assert [e.nit for e in ends] == [3]
+        assert _search_point(ends[0].x)[0].switches == (1.0686210636248645, 3.1415926535866516)
         assert res.best_model == as_mixture(triangle_colouring())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_no_start_crawls_to_a_bound(self, monkeypatch, seed):
+        # a start that walks a switch onto 0 or pi stops there in a few steps
+        ends = record_lbfgsb(monkeypatch)
+        optimise_fixed_k(2, n_starts=8, seed=seed)
+        assert len(ends) == 8
+        assert max(e.nit for e in ends) <= 12
 
     def test_odd_k_rejected(self):
         with pytest.raises(ValidationError):
@@ -250,51 +261,42 @@ class TestArrayObjectives:
 
 @st.composite
 def search_points(draw):
-    """Logistic parameters z of a k <= 16 search, with their special entries.
+    """Switch angles theta of a k <= 16 search, with the indices of a collapsed pair.
 
-    The free entries keep their switches at least 1e-4 apart.  Optionally
-    two entries are equal, a switch pair that collapses below
-    _COLLAPSE_TOL, and one entry has |z| >= 40, which the logistic clip
-    saturates.  Returns z and the index sets of both kinds of entry.
+    The free angles stay at least 1e-4 apart and from 0 and pi.  Optionally
+    two angles are equal, a switch pair that collapses below _COLLAPSE_TOL.
     """
-    pair, saturated = draw(st.booleans()), draw(st.booleans())
-    # k = n_free + pair + saturated is even; the pair repeats the last free entry
-    n_free = 2 * draw(st.integers(0 if pair or saturated else 1, (16 - 2 * pair - saturated) // 2))
-    n_free += saturated + pair
-    free = draw(st.lists(st.floats(-8.0, 8.0), min_size=n_free, max_size=n_free))
-    assume(np.all(np.diff(np.sort(PI * expit(np.array(free)))) > 1e-4))
-    z = free + free[-1:] * pair
-    if saturated:
-        z.append(draw(st.floats(40.0, 60.0)) * draw(st.sampled_from([-1.0, 1.0])))
-    order = draw(st.permutations(range(len(z))))
-    where = {i: order.index(i) for i in range(len(z))}
-    collapsed = {where[len(free) - 1], where[len(free)]} if pair else set()
-    clipped = {where[len(z) - 1]} if saturated else set()
-    return np.array([z[i] for i in order]), collapsed, clipped
+    pair = draw(st.booleans())
+    # k = n_free + pair is even; the pair repeats the last free angle
+    n_free = 2 * draw(st.integers(0 if pair else 1, (16 - 2 * pair) // 2)) + pair
+    free = draw(st.lists(st.floats(1e-3, PI - 1e-3), min_size=n_free, max_size=n_free))
+    assume(np.all(np.diff(np.sort(free)) > 1e-4))
+    theta = free + free[-1:] * pair
+    order = draw(st.permutations(range(len(theta))))
+    collapsed = {order.index(len(free) - 1), order.index(len(free))} if pair else set()
+    return np.array([theta[i] for i in order]), collapsed
 
 
-def check_gradient(value_and_grad, value_only, z, collapsed, clipped):
+def check_gradient(value_and_grad, value_only, theta, collapsed):
     """The analytic gradient against central differences, entry by entry.
 
-    Entries of a collapsed pair and clipped entries have gradient exactly
-    0; so do their differences, over steps that keep the pair collapsed
-    and the entry clipped.
+    The angles of a collapsed pair have gradient exactly 0; so do their
+    differences, over steps that keep the pair collapsed.
     """
-    value, grad = value_and_grad(z)
-    assert value == value_only(z)
-    for i in range(z.size):
-        step = np.zeros(z.size)
+    value, grad = value_and_grad(theta)
+    assert value == value_only(theta)
+    for i in range(theta.size):
+        step = np.zeros(theta.size)
         step[i] = 1e-12 if i in collapsed else 1e-5
-        fd = (value_and_grad(z + step)[0] - value_and_grad(z - step)[0]) / (2.0 * step[i])
-        if i in collapsed or i in clipped:
+        fd = (value_and_grad(theta + step)[0] - value_and_grad(theta - step)[0]) / (2.0 * step[i])
+        if i in collapsed:
             assert grad[i] == 0.0 and fd == 0.0
         else:
             assert abs(grad[i] - fd) <= 1e-8
 
 
-#: A start whose first two entries collapse, and one whose second is clipped.
-COLLAPSED_START = (np.array([0.7, 0.7, -1.2, 2.0]), {0, 1}, set())
-CLIPPED_START = (np.array([0.3, -45.0, 1.1, -0.8]), set(), {1})
+#: A start whose first two angles collapse.
+COLLAPSED_START = (np.array([2.0, 2.0, 0.7, 2.8]), {0, 1})
 
 
 class TestGradients:
@@ -303,22 +305,20 @@ class TestGradients:
     @settings(max_examples=100, deadline=None)
     @given(search_points())
     @example(COLLAPSED_START)
-    @example(CLIPPED_START)
     def test_l2_gradient(self, point):
-        def value_only(z):
-            return _l2_distance(*_half(_search_point(z)[0]))
+        def value_only(theta):
+            return _l2_distance(*_half(_search_point(theta)[0]))
 
         check_gradient(_with_gradient(_l2_with_gradient), value_only, *point)
 
     @settings(max_examples=100, deadline=None)
     @given(mixtures(), search_points())
     @example(Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5, 2.0])))), COLLAPSED_START)
-    @example(Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5, 2.0])))), CLIPPED_START)
     def test_frank_wolfe_gradient(self, m, point):
         lin = table(m)
 
-        def value_only(z):
-            return lin(*_kinks(((1.0, _search_point(z)[0]),)))[0]
+        def value_only(theta):
+            return lin(*_kinks(((1.0, _search_point(theta)[0]),)))[0]
 
         check_gradient(_with_gradient(lin), value_only, *point)
 

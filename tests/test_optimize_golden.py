@@ -5,9 +5,9 @@ with full precision, so any change to the starts, the searches, the
 Frank-Wolfe bookkeeping or the JSON layout shows up here as a changed
 digest.  The first three cases are the benchmark's optimise jobs.
 `l2_k4_seed2` is a search that does not end at the triangle: it ends
-with four switches, three below 2e-4 and one next to pi, D_triangle +
-2.9e-13 away, so it reports the triangle; its end point is pinned by
-`test_optimize.py::TestFixedK::test_search_end_point_pinned`.
+with a pair collapsed on the lower bound and one switch next to pi,
+D_triangle + 2.9e-12 away, so it reports the triangle; its end point is
+pinned by `test_optimize.py::TestFixedK::test_search_end_point_pinned`.
 `pool_024` stops at iteration 1 with the triangle and a gap of exactly
 0.0: the gap and the subproblem's triangle value come from the same
 table, so no rounding difference between two measurement paths shows up
