@@ -291,8 +291,8 @@ def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out)
 def cmd_chsh(model_file, quantum, scan_step, out) -> None:
     """Scan the CHSH functional over a setting grid."""
     model = _model_or_quantum(model_file, quantum)
-    if not scan_step > 0:
-        raise ValidationError(f"--scan-step must be positive, got {scan_step}")
+    if not 0 < scan_step < math.inf:
+        raise ValidationError(f"--scan-step must be positive and finite, got {scan_step}")
     rho = quantum_correlation if model is None else mixture_correlation(model)
     max_abs_s, settings = chsh_scan(rho, scan_step)
     _write_json(out, {

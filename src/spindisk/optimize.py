@@ -23,21 +23,24 @@ table) is summed over the switch differences.  One function,
 `_search_point`, maps the angles to the colouring; every objective and
 every colouring a search reports go through it, so a gradient search's
 value is the value-only objective's bit for bit.  The sup metric, a max,
-and the monotone penalty, which jumps, have no gradient and run the
-Nelder-Mead simplex on the value alone.
+has no gradient and runs the Nelder-Mead simplex on the value alone.
 
-Every search is measured against the triangle wave, the zero-switch
-colouring: it is the starting best, and a candidate replaces the best
-only if it is closer to -cos by more than _MIN_GAIN.  A search that
-finds nothing better reports the triangle itself, not a triangle hidden
-behind near-coincident or boundary-hugging switches.  A reported model
-is the best found, not a proven optimum.
+One multistart loop, `_multistart`, serves fixed-k and the Frank-Wolfe
+subproblem and measures each search against the triangle wave, the
+zero-switch colouring: it is the starting best, and an end point
+replaces the best only if it is lower by more than _MIN_GAIN.  The
+monotone constraint is a filter, not a term of the objective: an end
+point that is not monotone never replaces the best.  A search that finds
+nothing better reports the triangle itself, not a triangle hidden behind
+near-coincident or boundary-hugging switches.  A reported model is the
+best found, not a proven optimum.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -67,12 +70,8 @@ _FATOL = 1e-15
 #: Step tolerance (xatol) of the Nelder-Mead searches.
 _XATOL = 1e-9
 
-#: Iteration caps of a fixed-k start and of a Frank-Wolfe subproblem start.
+#: Iteration cap of every search start.
 _MAX_ITER = 2000
-_SUBPROBLEM_MAX_ITER = 200
-
-#: Frank-Wolfe stops once its duality-gap estimate is at most this.
-_GAP_TOL = 1e-9
 
 #: Box bounds of every switch angle a search tries: a switch on a bound
 #: stays pi*ANGLE_TOL > ANGLE_TOL away from 0 and pi, as Colouring requires.
@@ -80,6 +79,7 @@ _BOUNDS = (PI * ANGLE_TOL, PI * (1.0 - ANGLE_TOL))
 
 #: A candidate replaces the best only if it is lower by more than this; a
 #: triangle in disguise is within rounding, 1e-16 to 1e-13, of the triangle.
+#: Frank-Wolfe stops once its duality-gap estimate is at most this.
 _MIN_GAIN = 1e-12
 
 #: (d, w, slope0) of a model's kinks -> (value, derivative in each d)
@@ -178,7 +178,7 @@ def _with_gradient(kink_objective: _KinkObjective) -> Callable[[np.ndarray], tup
     return value_and_grad
 
 
-def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], theta0: np.ndarray, max_iter: int):
+def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], theta0: np.ndarray):
     """L-BFGS-B from theta0 inside _BOUNDS on an objective that returns its exact gradient.
 
     Both tolerances sit near rounding: with gtol = 1e-9, k = 4 searches
@@ -186,7 +186,7 @@ def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], th
     """
     from scipy.optimize import minimize
 
-    options = {"ftol": _FATOL, "gtol": 1e-12, "maxiter": max_iter}
+    options = {"ftol": _FATOL, "gtol": 1e-12, "maxiter": _MAX_ITER}
     bounds = [_BOUNDS] * theta0.size
     return minimize(value_and_grad, theta0, method="L-BFGS-B", jac=True, bounds=bounds, options=options)
 
@@ -245,6 +245,39 @@ def _guard_lower_bound(distance: float) -> None:
         )
 
 
+def _multistart(
+    search: Callable,
+    value: Callable[[Colouring], float],
+    pool_ks: list[int],
+    n_starts: int,
+    seed: int,
+) -> tuple[Colouring, float, list[tuple[int, float]], list[Colouring]]:
+    """n_starts searches from _start for each k in pool_ks, in pool order; none for k = 0.
+
+    search(theta0) returns scipy's minimize result from the start angles.
+    The triangle is the starting best, and the colouring of a search's end
+    point res.x replaces the best only if its value is lower by more than
+    _MIN_GAIN (not res.fun: after an ABNORMAL line-search exit it need not
+    be the value at res.x).  Returns the best colouring and value, (start,
+    best value after it) for every start, and the start colourings.
+    """
+    rng = np.random.default_rng(seed)
+    best_c = triangle_colouring()
+    best_v = value(best_c)
+    trace: list[tuple[int, float]] = []
+    starts: list[Colouring] = []
+    for k in pool_ks:
+        for _ in range(n_starts if k else 0):
+            theta0, c0 = _start(rng, k)
+            c = _search_point(search(theta0).x)[0]
+            v = value(c)
+            if v < best_v - _MIN_GAIN:
+                best_v, best_c = v, c
+            trace.append((len(starts), best_v))
+            starts.append(c0)
+    return best_c, best_v, trace, starts
+
+
 def optimise_fixed_k(
     k: int,
     metric: str = "L2",
@@ -255,17 +288,15 @@ def optimise_fixed_k(
     """Multi-start search over single colourings with at most k switches.
 
     The search collapses coincident switch pairs (_surviving), so a start
-    may end with fewer switches, down to the triangle wave.  The triangle
-    is the starting best, and a start replaces the best only if it is
-    closer by more than _MIN_GAIN.  Each start (_start) runs L-BFGS-B on
-    the exact gradient for the L2 metric, and the Nelder-Mead simplex, with
-    step tolerance _XATOL, for the sup metric or with monotone=True; both
-    stay inside _BOUNDS and _MAX_ITER caps either.  trace holds (start,
-    best distance after it) for every start; k = 0 runs no start and its
-    trace is [(0, triangle distance)].
-    With monotone=True, oscillating candidates are penalised and never
-    replace the best, and the starts drawn monotone are counted (all of
-    them at k = 0).  The triangle is monotone, so there is always a result.
+    may end with fewer switches, down to the triangle wave, the starting
+    best of _multistart.  Each start (_start) runs L-BFGS-B on the exact
+    gradient for the L2 metric, and the Nelder-Mead simplex, with step
+    tolerance _XATOL, for the sup metric; both stay inside _BOUNDS and
+    _MAX_ITER caps either.  trace holds (start, best distance after it)
+    for every start; k = 0 runs no start and its trace is [(0, triangle
+    distance)].  monotone=True runs the same search, drops every end point
+    that is not monotone and counts the starts drawn monotone (all of them
+    at k = 0).  The triangle is monotone, so there is always a result.
     """
     from scipy.optimize import minimize
 
@@ -277,50 +308,28 @@ def optimise_fixed_k(
         raise ValidationError(f"unknown metric {metric!r}")
     distance = _METRICS[metric]
 
-    if metric == "L2" and not monotone:
-        value_and_grad = _with_gradient(_l2_with_gradient)
-
-        def search(theta0: np.ndarray):
-            return _lbfgsb(value_and_grad, theta0, _MAX_ITER)
+    if metric == "L2":
+        search = partial(_lbfgsb, _with_gradient(_l2_with_gradient))
     else:
-        # the sup metric is a max and the monotone penalty jumps: no gradient
+        # the sup metric is a max: no gradient
         def objective(theta: np.ndarray) -> float:
-            bps, values = _half(_search_point(theta)[0])
-            d = distance(bps, values)
-            if monotone:
-                v = _monotone_violation(bps, values)
-                if v > _MONOTONE_TOL:
-                    d += 1e3 + v
-            return d
+            return distance(*_half(_search_point(theta)[0]))
 
-        def search(theta0: np.ndarray):
-            options = {"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER}
-            return minimize(objective, theta0, method="Nelder-Mead", bounds=[_BOUNDS] * k, options=options)
+        options = {"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER}
+        search = partial(minimize, objective, method="Nelder-Mead", bounds=[_BOUNDS] * k, options=options)
 
-    rng = np.random.default_rng(seed)
-    best_c = triangle_colouring()
-    best_d = distance(*_half(best_c))
-    trace: list[tuple[int, float]] = []
-    feasible_starts = 0
-    for start in range(n_starts if k else 0):
-        theta0, c0 = _start(rng, k)
-        if monotone and _monotone_violation(*_half(c0)) <= _MONOTONE_TOL:
-            feasible_starts += 1
-
-        c = _search_point(search(theta0).x)[0]
+    def value(c: Colouring) -> float:
         half = _half(c)
-        if not monotone or _monotone_violation(*half) <= _MONOTONE_TOL:
-            d = distance(*half)
-            if d < best_d - _MIN_GAIN:
-                best_d, best_c = d, c
-        trace.append((start, best_d))
+        return distance(*half) if not monotone or _monotone_violation(*half) <= _MONOTONE_TOL else math.inf
+
+    best_c, best_d, trace, starts = _multistart(search, value, [k], n_starts, seed)
     if not trace:  # k = 0: the triangle is the whole search space, and it is monotone
-        trace, feasible_starts = [(0, best_d)], n_starts
+        trace, starts = [(0, best_d)], [best_c] * n_starts
 
     _guard_lower_bound(best_d)
     return OptimizationResult(
         as_mixture(best_c), best_d, metric, trace, "monotone" if monotone else "none",
-        feasible_starts=feasible_starts if monotone else None,
+        feasible_starts=sum(_monotone_violation(*_half(c)) <= _MONOTONE_TOL for c in starts) if monotone else None,
     )
 
 
@@ -369,20 +378,8 @@ def _linear_subproblem(
     n_starts: int,
 ) -> tuple[Colouring, float]:
     """Approximately minimise lin = <rho_c, rho_m + cos> over single colourings."""
-    value_and_grad = _with_gradient(lin)
-    best_c = triangle_colouring()
-    best_v = lin(*_kinks(((1.0, best_c),)))[0]
-    rng = np.random.default_rng(seed)
-    for k in pool_ks:
-        if k == 0:
-            continue  # triangle already evaluated
-        for _ in range(n_starts):
-            res = _lbfgsb(value_and_grad, _start(rng, k)[0], _SUBPROBLEM_MAX_ITER)
-            c = _search_point(res.x)[0]
-            # not res.fun: after an ABNORMAL line-search exit it need not be the value at res.x
-            v = lin(*_kinks(((1.0, c),)))[0]
-            if v < best_v - _MIN_GAIN:
-                best_v, best_c = v, c
+    search = partial(_lbfgsb, _with_gradient(lin))
+    best_c, best_v, _, _ = _multistart(search, lambda c: lin(*_kinks(((1.0, c),)))[0], pool_ks, n_starts, seed)
     return best_c, best_v
 
 
@@ -428,7 +425,7 @@ def optimise_mixture(
         lin_m = lin(*kinks_m)[0]
         gap = lin_m - v_new  # duality-gap estimate; >= 0 up to subproblem error
         gaps.append(gap)
-        if gap <= _GAP_TOL:
+        if gap <= _MIN_GAIN:
             trace.append((it, best_d))
             break
 

@@ -206,6 +206,7 @@ class TestChsh:
 @pytest.mark.parametrize("args", [
     ["chsh", "--quantum", "--scan-step", "0"],
     ["chsh", "--quantum", "--scan-step", "-1"],
+    ["chsh", "--quantum", "--scan-step", "inf"],
     ["sim", "--quantum", "--runs", "0"],
     ["sim", "--quantum", "--grid", "4", "--alpha", "0.5"],
     ["sim", "MODEL", "--grid", "4", "--beta", "0"],

@@ -164,7 +164,8 @@ class TestFixedK:
         optimise_mixture([0, 2, 4], n_iterations=2, subproblem_starts=2)
 
         # a real pool search stops at iteration 1 with gap 0; this subproblem's
-        # gap is above _GAP_TOL, so the step and the mixture bookkeeping run
+        # gap is above _MIN_GAIN, the Frank-Wolfe stop, so the step and the
+        # mixture bookkeeping run
         def subproblem(lin, pool_ks, seed, n_starts):
             c = new_colouring([2.0, 2.5])
             return c, lin(*_kinks(((1.0, c),)))[0] - 0.06
@@ -211,6 +212,20 @@ class TestMonotone:
         assert is_monotone(res.best_model)
         assert res.feasible_starts is not None
         assert res.distance >= MIN_L2_DISTANCE - 1e-9
+
+    def test_l2_runs_the_gradient_search(self, monkeypatch):
+        ends = record_lbfgsb(monkeypatch)
+        optimise_fixed_k(2, n_starts=4, monotone=True)
+        assert len(ends) == 4
+
+    @pytest.mark.parametrize("metric", ["L2", "sup"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_same_report_as_the_unconstrained_search(self, k, metric):
+        # no start here beats the triangle, which is monotone, so the filter drops no reported model
+        for seed in range(5):
+            free = optimise_fixed_k(k, metric=metric, n_starts=4, seed=seed)
+            mono = optimise_fixed_k(k, metric=metric, n_starts=4, seed=seed, monotone=True)
+            assert (mono.best_model, mono.distance, mono.trace) == (free.best_model, free.distance, free.trace)
 
     def test_wide_k2_colourings_usually_oscillate(self, rng):
         # a large switch gap forces slope sign changes on (0, pi)
@@ -343,6 +358,15 @@ class TestMixture:
         r1 = optimise_mixture([0, 2], n_iterations=3, seed=4, subproblem_starts=2)
         r2 = optimise_mixture([0, 2], n_iterations=3, seed=4, subproblem_starts=2)
         assert r1.distance == r2.distance
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subproblem_searches_converge_below_the_cap(self, monkeypatch, seed):
+        # every subproblem search converges (status 0) in under 200 iterations,
+        # so the fixed-k cap _MAX_ITER never binds it
+        ends = record_lbfgsb(monkeypatch)
+        optimise_mixture([0, 2, 4, 6, 8], n_iterations=3, subproblem_starts=4, seed=seed)
+        assert ends
+        assert all(e.status == 0 and e.nit < 200 for e in ends)
 
     def test_sup_metric_rejected(self):
         with pytest.raises(ValueError):
