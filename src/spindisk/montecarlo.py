@@ -6,10 +6,12 @@ each outcome depends only on the shared (component, rotation) pair and the
 local setting.  The quantum simulator samples the four-cell joint law
 Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
 
-A sampler declares its table keys up front and returns, with each run's
-settings, the index of the run's key.  The count table is then one
-`np.bincount` over (key index, outcome cell).  `UniformSampler` keys its
-runs by gamma bin, not by setting pair.
+A sampler declares its table keys up front and returns its setting pairs
+with each run's pair index and key index; `UniformSampler` draws a pair
+per run and keys its runs by gamma bin.  The random arrays are drawn
+whole (the sampler's, the rotation u, the component), then the per-run
+work (settings read by pair index, colour lookup, outcome cell and one
+`np.bincount` over (key index, cell)) goes in blocks of `_RUN_BLOCK` runs.
 
 A mixture's colours are read from its components' switch sets laid end to
 end, through a table of uniform bins built once per call: a bin that holds
@@ -58,6 +60,9 @@ class CountTable:
 
 _GAMMA_BINS = 360
 
+#: Runs per block of the per-run work, so that its temporaries stay in cache.
+_RUN_BLOCK = 8192
+
 #: Colour-table bins per switch in `classical_outcomes`.  A query lands in a
 #: bin that holds a switch, and takes `searchsorted`, about once in this many.
 _BINS_PER_SWITCH = 64
@@ -73,8 +78,15 @@ def _wrap(d: np.ndarray) -> np.ndarray:
     return d
 
 
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most _RUN_BLOCK runs that cover range(n)."""
+    return [slice(i, i + _RUN_BLOCK) for i in range(0, n, _RUN_BLOCK)]
+
+
 # A sampler has `keys`, the list of (alpha, beta) table keys, and
-# `draw(n, rng) -> (alphas, betas, idx)`, where run i counts under keys[idx[i]].
+# `draw(n, rng) -> (alphas, betas, pair_idx, key_idx)`: the setting pairs
+# (alphas[j], betas[j]), and for run i its pair pair_idx[i] and its key
+# keys[key_idx[i]].
 
 class GridSampler:
     """Settings drawn uniformly from a finite list of pairs; one pair fixes them."""
@@ -83,13 +95,13 @@ class GridSampler:
         if not pairs:
             raise InvalidSampler("setting grid is empty")
         self.keys = [(float(a), float(b)) for a, b in pairs]
-        self._settings = np.array(self.keys)
-        if not np.isfinite(self._settings).all():
+        if not np.isfinite(self.keys).all():
             raise InvalidSampler("setting grid holds a non-finite setting")
+        self._alphas, self._betas = np.array(self.keys).T.copy()
 
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         idx = rng.integers(len(self.keys), size=n)
-        return self._settings[idx, 0], self._settings[idx, 1], idx
+        return self._alphas, self._betas, idx, idx
 
 
 class UniformSampler:
@@ -104,20 +116,21 @@ class UniformSampler:
     def __init__(self):
         self.keys = [(0.0, (j + 0.5) * TWO_PI / _GAMMA_BINS) for j in range(_GAMMA_BINS)]
 
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         alphas, betas = rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, TWO_PI, n)
         gammas = _wrap(betas - alphas)
         idx = np.minimum((gammas * (_GAMMA_BINS / TWO_PI)).astype(np.intp), _GAMMA_BINS - 1)
-        return alphas, betas, idx
+        return alphas, betas, np.arange(n), idx
 
 
 def classical_outcomes(
     model: Mixture | Colouring,
     alphas: np.ndarray,
     betas: np.ndarray,
+    pair_idx: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised classical runs; returns (a, b) int8 arrays of +-1.
+    """Classical runs at settings (alphas, betas)[pair_idx]; (a, b) int8 arrays of +-1.
 
     Component c's full switch set is shifted by 2*pi*c and the shifted sets
     are concatenated into one sorted array S, in which a run of component c
@@ -144,16 +157,19 @@ def classical_outcomes(
     boundary between components included.  A station whose settings are
     not all in [0, 2*pi) is reduced by `np.remainder` instead of `_wrap`,
     which holds only on that range; both land in [0, 2*pi].
+
+    The component is drawn as `rng.choice(n_comp, n, p=weights)` draws it:
+    one `random` per run, placed by `searchsorted` in choice's own cdf.
     """
     mix = as_mixture(model)
-    n = alphas.size
+    n = pair_idx.size
     u = rng.uniform(0.0, TWO_PI, n)
-    if len(mix.components) == 1:
-        shift = 0.0
-    else:
+    cdf = None
+    if len(mix.components) > 1:
         weights = np.array([w for w, _ in mix.components])
-        comp_idx = rng.choice(len(mix.components), size=n, p=weights / weights.sum())
-        shift = TWO_PI * comp_idx
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        pick = rng.random(n)
     switches = np.concatenate([
         np.array(full_switch_set(c)) + TWO_PI * ci for ci, (_, c) in enumerate(mix.components)
     ])
@@ -165,33 +181,33 @@ def classical_outcomes(
     table = colours(bins, np.arange(-1, n_bins)).astype(np.int8)
     table[bins] = 0
 
-    def station(x: np.ndarray) -> np.ndarray:
-        in_range = x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < TWO_PI
-        q = _wrap(x - u) if in_range else np.remainder(x - u, TWO_PI)
-        q += shift
-        col = table[(q * scale).astype(np.intp)]
-        marked = np.flatnonzero(col == 0)
-        col[marked] = colours(switches, q[marked])
-        return col
-
-    return station(alphas), -station(betas)
+    in_range = [x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < TWO_PI for x in (alphas, betas)]
+    a, b = np.empty(n, np.int8), np.empty(n, np.int8)
+    for s in _blocks(n):
+        shift = 0.0 if cdf is None else TWO_PI * cdf.searchsorted(pick[s], side="right")
+        for x, wrap, out in zip((alphas, betas), in_range, (a, b)):
+            q = x[pair_idx[s]] - u[s]
+            q = _wrap(q) if wrap else np.remainder(q, TWO_PI)
+            q += shift
+            col = table[(q * scale).astype(np.intp)]
+            marked = np.flatnonzero(col == 0)
+            col[marked] = colours(switches, q[marked])
+            out[s] = col
+    return a, -b
 
 
 def quantum_outcomes(
-    alphas: np.ndarray, betas: np.ndarray, rng: np.random.Generator
+    alphas: np.ndarray, betas: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised samples from the four-cell singlet law."""
-    n = alphas.size
-    a = rng.choice(np.array([1, -1]), size=n)
+    """Samples from the four-cell singlet law at settings (alphas, betas)[pair_idx]."""
+    n = pair_idx.size
+    a = rng.choice(np.array([1, -1], np.int8), size=n)
+    equal = rng.random(n)
     p_equal = 0.5 * (1.0 - np.cos(alphas - betas))
-    b = np.where(rng.random(n) < p_equal, a, -a)
+    b = np.empty_like(a)
+    for s in _blocks(n):
+        b[s] = np.where(equal[s] < p_equal[pair_idx[s]], a[s], -a[s])
     return a, b
-
-
-def _tabulate(idx: np.ndarray, n_keys: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Outcome counts per key index, shape (n_keys, 4)."""
-    cells = (a < 0) * 2 + (b < 0)  # 0:++ 1:+- 2:-+ 3:--
-    return np.bincount(idx * 4 + cells, minlength=4 * n_keys).reshape(-1, 4)
 
 
 def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, seed: int = 0) -> CountTable:
@@ -205,12 +221,15 @@ def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, s
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    alphas, betas, idx = sampler.draw(n_runs, rng)
+    alphas, betas, pair_idx, key_idx = sampler.draw(n_runs, rng)
     if model is None:
-        a, b = quantum_outcomes(alphas, betas, rng)
+        a, b = quantum_outcomes(alphas, betas, pair_idx, rng)
     else:
-        a, b = classical_outcomes(model, alphas, betas, rng)
-    counts = _tabulate(idx, len(sampler.keys), a, b)
+        a, b = classical_outcomes(model, alphas, betas, pair_idx, rng)
+    counts = np.zeros((len(sampler.keys), 4), np.int64)
+    for s in _blocks(n_runs):
+        cells = (a[s] < 0) * 2 + (b[s] < 0)  # 0:++ 1:+- 2:-+ 3:--
+        counts += np.bincount(key_idx[s] * 4 + cells, minlength=counts.size).reshape(-1, 4)
     table = CountTable()
     for (alpha, beta), cells in zip(sampler.keys, counts):
         if cells.any():

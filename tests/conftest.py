@@ -40,7 +40,7 @@ def colourings(draw, max_k):
     """
     k = 2 * draw(st.integers(0, max_k // 2))
     if draw(st.booleans()):
-        n = draw(st.sampled_from([36, 360, 720]))
+        n = draw(st.sampled_from([n for n in (36, 360, 720) if n // 2 - 1 >= k]))
         steps = draw(st.lists(st.integers(1, n // 2 - 1), min_size=k, max_size=k, unique=True))
         return new_colouring([TWO_PI * j / n for j in steps])
     theta = sorted(draw(st.lists(st.floats(1e-3, PI - 1e-3), min_size=k, max_size=k, unique=True)))

@@ -60,7 +60,9 @@ def test_criterion_01_certainty_relations():
         assert abs(pl.evaluate(PI) - 1.0) <= 1e-12
     model = random_mixture(rng)
     alpha = rng.uniform(0, TWO_PI)
-    a, b = classical_outcomes(model, np.full(10_000, alpha), np.full(10_000, alpha), rng)
+    a, b = classical_outcomes(
+        model, np.array([alpha]), np.array([alpha]), np.zeros(10_000, np.intp), rng
+    )
     assert np.all(a == -b), "equal settings must give opposite outcomes in every run"
     _report("1 certainty relations", time.time() - t0, 10)
 
@@ -79,7 +81,7 @@ def test_criterion_03_quantum_reference():
     n = 10**6
     deltas = TWO_PI * np.arange(8) / 8 + 0.1
     for delta in deltas:
-        a, b = quantum_outcomes(np.zeros(n), np.full(n, delta), rng)
+        a, b = quantum_outcomes(np.zeros(1), np.array([delta]), np.zeros(n, np.intp), rng)
         est = float(np.mean(a * b))
         assert abs(est - (-math.cos(delta))) < 0.005, f"delta={delta}"
     _report("3 quantum reference", time.time() - t0, 30)
@@ -94,9 +96,7 @@ def test_criterion_04_montecarlo_vs_exact():
         c = random_colouring(rng, int(rng.choice([2, 4, 6])))
         pl = exact_correlation(c)
         betas = rng.uniform(0, TWO_PI, 8)
-        a, b = classical_outcomes(
-            c, np.zeros(8 * n), np.repeat(betas, n), rng
-        )
+        a, b = classical_outcomes(c, np.zeros(8), betas, np.repeat(np.arange(8), n), rng)
         prods = (a * b).reshape(8, n)
         for beta, est in zip(betas, prods.mean(axis=1)):
             assert abs(est - pl.evaluate(beta)) < tol, f"model {i}, beta={beta}"

@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from spindisk import (
     CHSHSettings,
+    GridSampler,
+    Mixture,
     chsh,
     chsh_scan,
+    empirical_correlation,
     exact_correlation,
     mixture_correlation,
+    new_colouring,
     quantum_correlation,
+    run_experiment,
     triangle_colouring,
 )
 
@@ -104,3 +109,34 @@ class TestCHSHScan:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestChainedBellBound:
+    """rho(p*pi/m) >= -1 + 2/m for odd p (Pearle 1970; Braunstein & Caves 1990).
+
+    Antiperiodicity makes the colours at x and x + p*pi differ; of the m
+    steps of p*pi/m between them one must flip the colour, so m times the
+    flip probability (1 + rho(p*pi/m))/2 is at least 1.  The bound is
+    linear in the model, so it holds for mixtures too.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(colourings(40).map(exact_correlation), mixtures().map(mixture_correlation)))
+    def test_classical_curves_respect_the_chain(self, rho):
+        for m in range(1, 13):
+            gammas = PI * np.arange(1, 2 * m, 2) / m
+            assert rho.sample(gammas).min() >= -1 + 2 / m - 1e-12
+
+    def test_triangle_and_s9_mixture_meets_the_bound_in_simulation(self):
+        # both components read -3/5 at pi/5, the m = 5 bound; w* is the
+        # weight of the sup-optimal mixture
+        w = (2 - PI * math.sin(PI / 5)) / 20
+        model = Mixture((
+            (1 - w, triangle_colouring()),
+            (w, new_colouring([j * PI / 9 for j in range(1, 9)])),
+        ))
+        assert mixture_correlation(model).evaluate(PI / 5) == pytest.approx(-0.6, abs=1e-12)
+        n = 200_000
+        table = run_experiment(model, sampler=GridSampler([(0.0, PI / 5)]), n_runs=n, seed=5)
+        est, _ = empirical_correlation(table)[(0.0, PI / 5)]
+        assert abs(est + 0.6) <= 4 * math.sqrt((1 - 0.36) / n)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spindisk import (
     CountTable,
@@ -16,51 +16,61 @@ from spindisk import (
     triangle_colouring,
 )
 from spindisk.circle import ANGLE_TOL, Mixture
-from spindisk.montecarlo import _BINS_PER_SWITCH, classical_outcomes, quantum_outcomes
+from spindisk.montecarlo import _BINS_PER_SWITCH, _RUN_BLOCK, classical_outcomes, quantum_outcomes
 
 from colour_oracle import concatenated_classical_outcomes, masked_classical_outcomes
 from conftest import mixtures, random_colouring, random_mixture
+from experiment_oracle import whole_array_run_experiment
 
 PI = math.pi
 TWO_PI = 2 * math.pi
+B = _RUN_BLOCK
+
+
+def _at(alpha, beta, n):
+    """One setting pair read by all n runs: (alphas, betas, pair_idx)."""
+    return np.array([alpha]), np.array([beta]), np.zeros(n, np.intp)
 
 
 class TestClassicalRun:
     def test_equal_settings_always_opposite(self, rng):
         model = random_mixture(rng)
         alpha = rng.uniform(0, 2 * PI)
-        a, b = classical_outcomes(model, np.full(10_000, alpha), np.full(10_000, alpha), rng)
+        a, b = classical_outcomes(model, *_at(alpha, alpha, 10_000), rng)
         assert np.all(a == -b)
 
     def test_opposed_settings_always_equal(self, rng):
         model = random_mixture(rng)
         alpha = rng.uniform(0, PI)
-        a, b = classical_outcomes(model, np.full(10_000, alpha), np.full(10_000, alpha + PI), rng)
+        a, b = classical_outcomes(model, *_at(alpha, alpha + PI, 10_000), rng)
         assert np.all(a == b)
 
     def test_triangle_at_right_angle_uncorrelated(self, rng):
         n = 10**6
-        a, b = classical_outcomes(triangle_colouring(), np.zeros(n), np.full(n, PI / 2), rng)
+        a, b = classical_outcomes(triangle_colouring(), *_at(0.0, PI / 2, n), rng)
         assert abs(np.mean(a * b)) < 4 / math.sqrt(n)
 
     def test_marginal_fairness(self, rng):
         n = 10**5
         model = random_mixture(rng)
-        a, _ = classical_outcomes(model, np.full(n, 1.3), np.full(n, 0.2), rng)
+        a, _ = classical_outcomes(model, *_at(1.3, 0.2, n), rng)
         assert abs(np.mean(a)) < 4 / math.sqrt(n)
 
 
 class TestColourLookup:
     @settings(max_examples=150, deadline=None)
-    @given(mixtures(max_k=16), st.integers(0, 2**32 - 1), st.booleans())
-    def test_matches_masked_oracle(self, model, seed, on_lattice):
+    @given(mixtures(max_k=16), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([2000, B + 1]))
+    @example(model=Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.4, 2.2])))),
+             seed=11, on_lattice=True, n_runs=B + 1)
+    def test_matches_masked_oracle(self, model, seed, on_lattice, n_runs):
         setting_rng = np.random.default_rng(seed)
         if on_lattice:
-            alphas, betas = TWO_PI * setting_rng.integers(720, size=(2, 2000)) / 720
+            alphas, betas = TWO_PI * setting_rng.integers(720, size=(2, n_runs)) / 720
         else:
-            alphas, betas = setting_rng.uniform(0.0, TWO_PI, size=(2, 2000))
+            alphas, betas = setting_rng.uniform(0.0, TWO_PI, size=(2, n_runs))
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, b = classical_outcomes(model, alphas, betas, rng)
+        a, b = classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)
         a_ref, b_ref = masked_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.random() == oracle_rng.random()  # same draws consumed
@@ -123,6 +133,8 @@ class TestBinTableLookup:
         st.sampled_from(["uniform", "lattice", "targeted", "outside"]),
         st.sampled_from(["uniform", "lattice", "targeted", "outside"]),
     )
+    @example(seed=7, n_comp=3, n_runs=B + 1, alpha_mode="targeted", beta_mode="outside")
+    @example(seed=8, n_comp=200, n_runs=2 * B + 5, alpha_mode="targeted", beta_mode="targeted")
     def test_matches_concatenated_oracle(self, seed, n_comp, n_runs, alpha_mode, beta_mode):
         data = np.random.default_rng(seed)
         weights = data.uniform(0.05, 1.0, n_comp)
@@ -160,7 +172,7 @@ class TestBinTableLookup:
         ))
 
         rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        a, b = classical_outcomes(model, alphas, betas, rng)
+        a, b = classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)
         a_ref, b_ref = concatenated_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -168,12 +180,12 @@ class TestBinTableLookup:
 
 class TestQuantumRun:
     def test_equal_settings_always_opposite(self, rng):
-        a, b = quantum_outcomes(np.zeros(10_000), np.zeros(10_000), rng)
+        a, b = quantum_outcomes(*_at(0.0, 0.0, 10_000), rng)
         assert np.all(a == -b)
 
     def test_right_angle_all_four_cells(self, rng):
         n = 10**5
-        a, b = quantum_outcomes(np.zeros(n), np.full(n, PI / 2), rng)
+        a, b = quantum_outcomes(*_at(0.0, PI / 2, n), rng)
         for sa in (1, -1):
             for sb in (1, -1):
                 frac = np.mean((a == sa) & (b == sb))
@@ -181,7 +193,7 @@ class TestQuantumRun:
 
     def test_cosine_correlation(self, rng):
         n = 10**6
-        a, b = quantum_outcomes(np.zeros(n), np.full(n, PI / 4), rng)
+        a, b = quantum_outcomes(*_at(0.0, PI / 4, n), rng)
         assert np.mean(a * b) == pytest.approx(-math.cos(PI / 4), abs=4 / math.sqrt(n))
 
 
@@ -266,6 +278,60 @@ class TestRunExperiment:
             GridSampler([(x, 0.0)])
         with pytest.raises(InvalidSampler, match="finite"):
             GridSampler([(0.0, 1.0), (0.0, x)])
+
+
+class _Recording:
+    """A sampler that keeps the generator `run_experiment` hands it."""
+
+    def __init__(self, sampler):
+        self.keys, self._sampler = sampler.keys, sampler
+
+    def draw(self, n, rng):
+        self.rng = rng
+        return self._sampler.draw(n, rng)
+
+
+def _many_components(n):
+    rng = np.random.default_rng(60)
+    w = rng.uniform(0.05, 1.0, n)
+    return Mixture(tuple(
+        (float(wi), random_colouring(rng, int(rng.choice([0, 2, 4, 6])))) for wi in w / w.sum()
+    ))
+
+
+_MIXTURE3 = Mixture((
+    (0.5, triangle_colouring()),
+    (0.3, new_colouring([0.4, 2.2])),
+    (0.2, new_colouring([PI * j / 720 for j in (100, 250, 400, 600)])),
+))
+_GRID16 = [(0.0, TWO_PI * j / 16) for j in range(16)]
+_BLOCK_CASES = {
+    "colouring": (new_colouring([0.5, 1.0, 1.5, 2.0]), GridSampler(_GRID16)),
+    "mixture3": (_MIXTURE3, GridSampler(_GRID16)),
+    "mixture3_outside": (
+        _MIXTURE3, GridSampler([(-0.5, 7.0), (0.3, 1.1), (TWO_PI, -TWO_PI), (0.0, 0.0)])
+    ),
+    "mixture60": (_many_components(60), GridSampler(_GRID16)),
+    "quantum": (None, GridSampler(_GRID16)),
+    "uniform_mixture3": (_MIXTURE3, UniformSampler()),
+    "uniform_quantum": (None, UniformSampler()),
+}
+
+
+class TestBlockedKernel:
+    """Run counts on either side of block boundaries give the whole-array tables."""
+
+    @pytest.mark.parametrize("n_runs", [1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+    def test_matches_whole_array_oracle(self, case, n_runs):
+        model, sampler = _BLOCK_CASES[case]
+        recording = _Recording(sampler)
+        table = run_experiment(model, sampler=recording, n_runs=n_runs, seed=n_runs)
+        ref, ref_rng = whole_array_run_experiment(model, sampler, n_runs, seed=n_runs)
+        assert table.pairs() == ref.pairs() and table.n_runs() == n_runs
+        for key in ref.pairs():
+            assert np.array_equal(table.counts[key], ref.counts[key])
+        assert recording.rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestUniformSampler:

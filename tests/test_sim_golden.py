@@ -12,7 +12,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from spindisk import GridSampler, Mixture, new_colouring, run_experiment
+from spindisk import GridSampler, Mixture, UniformSampler, new_colouring, run_experiment
 from spindisk.cli import main
 
 PI = math.pi
@@ -52,6 +52,13 @@ SIM_CASES = {
 #: Recorded from the sharded run_experiment at its default of one shard.
 SHARDED_DIGEST = "00c4204fa1eebcd6ce6107e2be15f78ac2f9dfbc0f9d1fa6f5b258390ef9009b"
 
+#: UniformSampler tables of 10_001 runs (MIXTURE at seed 12, quantum at seed
+#: 13), recorded from the whole-array run_experiment before the blocked one.
+UNIFORM_DIGESTS = {
+    "mixture": (12, "801a1c8a8d5cf2246b0ec4951bb57ad2673a11a63172c9202cd8b9fcf24d88b0"),
+    "quantum": (13, "5bfdb651fa5c3133774ccbae4fe66f284f3d17dadc7ec706379417019ca98deb"),
+}
+
 
 def _sim_stdout(tmp_path, monkeypatch, model, args) -> bytes:
     monkeypatch.chdir(tmp_path)  # the header names the model file; keep it relative
@@ -89,3 +96,16 @@ def test_sharded_table_digest():
             for alpha, beta in table.pairs()]
     assert table.n_runs() == 10_001
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SHARDED_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(UNIFORM_DIGESTS))
+def test_uniform_sampler_table_digest(case):
+    seed, digest = UNIFORM_DIGESTS[case]
+    model = None
+    if case == "mixture":
+        model = Mixture(tuple((c["w"], new_colouring(c["theta"])) for c in MIXTURE["components"]))
+    table = run_experiment(model, sampler=UniformSampler(), n_runs=10_001, seed=seed)
+    rows = [[alpha, beta, *(int(x) for x in table.counts[(alpha, beta)])]
+            for alpha, beta in table.pairs()]
+    assert table.n_runs() == 10_001 and len(rows) == 360
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
