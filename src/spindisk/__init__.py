@@ -41,6 +41,7 @@ from .bell import CHSHSettings, chsh, chsh_scan, quantum_correlation
 from .lattice import LatticeColouring, lattice_correlation, lift_to_continuous
 from .optimize import (
     MIN_L2_DISTANCE,
+    SUP_OPTIMUM,
     InfeasibleStart,
     OptimizationResult,
     optimise_fixed_k,
@@ -84,6 +85,7 @@ __all__ = [
     "lattice_correlation",
     "lift_to_continuous",
     "MIN_L2_DISTANCE",
+    "SUP_OPTIMUM",
     "InfeasibleStart",
     "OptimizationResult",
     "optimise_fixed_k",

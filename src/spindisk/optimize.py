@@ -46,15 +46,23 @@ import numpy as np
 
 from .circle import (
     ANGLE_TOL, PI, TWO_PI, WEIGHT_TOL, Colouring, Mixture, ValidationError, as_mixture,
-    mixture_to_dict, new_colouring, triangle_colouring,
+    mixture_to_dict, triangle_colouring,
 )
-from .correlation import _differences, _full_period, _half_curve, _kinks, _l2_distance, _sup_distance
+from .correlation import _differences, _half_curve, _kinks, _l2_distance, _sup_distance
 from .spectral import FIRST_HARMONIC_COEFF_BOUND
 
 #: No classical curve can get closer to -cos than this in L2: the first
 #: harmonic alone contributes at least (1 - 8/pi^2)^2 / 2 to the squared
 #: distance, and the sup distance dominates the L2 distance.
 MIN_L2_DISTANCE = (1.0 + FIRST_HARMONIC_COEFF_BOUND) / math.sqrt(2.0)
+
+#: No classical curve gets closer to -cos in the sup metric.  The colour
+#: flips from x to x + pi, so one of m equal steps flips it: by the union
+#: bound and rotation invariance rho(pi/m) >= -1 + 2/m (the chained Bell
+#: inequality; linear, so mixtures obey it too), and sup |rho + cos| >=
+#: cos(pi/5) - 3/5.  (1 - w)*triangle + w*S9 (switches j*pi/9) attains it
+#: at w = (2 - pi*sin(pi/5))/20.
+SUP_OPTIMUM = (5.0 * math.sqrt(5.0) - 7.0) / 20.0
 
 _COLLAPSE_TOL = 1e-9
 
@@ -138,7 +146,7 @@ def _search_point(theta: np.ndarray) -> tuple[Colouring, np.ndarray, list[int]]:
     order = theta.argsort()  # not np.argsort: its dispatch costs ~2 us a call on arrays this small
     th = theta[order].tolist()
     keep = _surviving(th)
-    return new_colouring([th[m] for m in keep]), order, keep
+    return Colouring(tuple([th[m] for m in keep])), order, keep  # sorted floats: new_colouring would redo both
 
 
 def _start(rng: np.random.Generator, k: int) -> tuple[np.ndarray, Colouring]:
@@ -167,7 +175,7 @@ def _with_gradient(kink_objective: _KinkObjective) -> Callable[[np.ndarray], tup
         k = theta.size
         c, order, keep = _search_point(theta)
         diffs, jumps, mask = _differences(c)
-        i, j = np.nonzero(mask)
+        i, j = mask.nonzero()
         value, dd = kink_objective(diffs[i, j], jumps[i] * jumps[j], 2.0 * jumps.size)
         owner = np.array([k, *keep, k, *keep])
         dtheta = np.bincount(owner[j], dd, k + 1) - np.bincount(owner[i], dd, k + 1)
@@ -202,8 +210,10 @@ def _l2_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[floa
     """
     bps, values = _half_curve(d, w, slope0)
     dist = _l2_distance(bps, values)
-    g = np.append(0.0, np.cumsum(np.diff(bps) * (values[:-1] + values[1:]))) / 2.0 + np.sin(bps)
-    at = g[np.searchsorted(bps, d + ANGLE_TOL, "right") - 1]
+    g = np.zeros(bps.size)
+    ((bps[1:] - bps[:-1]) * (values[:-1] + values[1:])).cumsum(out=g[1:])
+    g = g / 2.0 + np.sin(bps)
+    at = g[bps.searchsorted(d + ANGLE_TOL, "right") - 1]
     return dist, w * (at - g[-1]) / (TWO_PI * PI * dist)
 
 
@@ -214,7 +224,7 @@ def _half(c: Colouring) -> tuple[np.ndarray, np.ndarray]:
 
 def _monotone_violation(bps: np.ndarray, values: np.ndarray) -> float:
     """Sum of the negative slopes of rho on [0, pi] (0 when rho runs -1 -> +1)."""
-    return float(np.clip(-np.diff(values) / np.diff(bps), 0.0, None).sum())
+    return float(np.maximum(-(values[1:] - values[:-1]) / (bps[1:] - bps[:-1]), 0.0).sum())
 
 
 def _sup_objective(bps: np.ndarray, values: np.ndarray) -> float:
@@ -227,22 +237,20 @@ def _sup_objective(bps: np.ndarray, values: np.ndarray) -> float:
     is the public sup distance of the colouring's curve, bit for bit, and
     the search reports it.
     """
-    bps, values = _full_period(bps, values)
-    return _sup_distance(np.append(bps, TWO_PI), np.append(values, values[0]))
+    bps = np.concatenate((bps, TWO_PI - bps[-2:0:-1], [TWO_PI]))
+    return _sup_distance(bps, np.concatenate((values, values[-2:0:-1], values[:1])))
 
 
 #: metric -> distance of the half-period arrays
 _METRICS = {"L2": _l2_distance, "sup": _sup_objective}
 
 
-def _guard_lower_bound(distance: float) -> None:
-    # A distance below the derived first-harmonic bound would disprove the
+def _guard_lower_bound(distance: float, metric: str) -> None:
+    # A distance below the metric's derived lower bound would disprove the
     # bound itself; treat it as a hard error rather than a result.
-    if distance < MIN_L2_DISTANCE - 1e-9:
-        raise RuntimeError(
-            f"distance {distance} below the first-harmonic lower bound "
-            f"{MIN_L2_DISTANCE}; refusing to report"
-        )
+    bound = SUP_OPTIMUM if metric == "sup" else MIN_L2_DISTANCE
+    if distance < bound - 1e-9:
+        raise RuntimeError(f"{metric} distance {distance} below the lower bound {bound}; refusing to report")
 
 
 def _multistart(
@@ -326,7 +334,7 @@ def optimise_fixed_k(
     if not trace:  # k = 0: the triangle is the whole search space, and it is monotone
         trace, starts = [(0, best_d)], [best_c] * n_starts
 
-    _guard_lower_bound(best_d)
+    _guard_lower_bound(best_d, metric)
     return OptimizationResult(
         as_mixture(best_c), best_d, metric, trace, "monotone" if monotone else "none",
         feasible_starts=sum(_monotone_violation(*_half(c)) <= _MONOTONE_TOL for c in starts) if monotone else None,
@@ -455,5 +463,5 @@ def optimise_mixture(
             best_d, best_model = d, mixture
         trace.append((it, best_d))
 
-    _guard_lower_bound(best_d)
+    _guard_lower_bound(best_d, metric)
     return OptimizationResult(best_model, best_d, metric, trace, "none", gaps=gaps)

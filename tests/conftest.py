@@ -57,6 +57,24 @@ def mixtures(draw, max_k=8):
     return Mixture(tuple((w / total, c) for w, c in zip(raw, comps)))
 
 
+@st.composite
+def search_points(draw):
+    """Switch angles theta of a k <= 16 search, with the indices of a collapsed pair.
+
+    The free angles stay at least 1e-4 apart and from 0 and pi.  Optionally
+    two angles are equal, a switch pair that collapses below _COLLAPSE_TOL.
+    """
+    pair = draw(st.booleans())
+    # k = n_free + pair is even; the pair repeats the last free angle
+    n_free = 2 * draw(st.integers(0 if pair else 1, (16 - 2 * pair) // 2)) + pair
+    free = draw(st.lists(st.floats(1e-3, PI - 1e-3), min_size=n_free, max_size=n_free))
+    assume(np.all(np.diff(np.sort(free)) > 1e-4))
+    theta = free + free[-1:] * pair
+    order = draw(st.permutations(range(len(theta))))
+    collapsed = {order.index(len(free) - 1), order.index(len(free))} if pair else set()
+    return np.array([theta[i] for i in order]), collapsed
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy.integrate import quad
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spindisk import (
     MIN_L2_DISTANCE,
+    SUP_OPTIMUM,
     Mixture,
     ValidationError,
     exact_correlation,
@@ -38,7 +39,7 @@ from spindisk.optimize import (
     _with_gradient,
 )
 
-from conftest import colourings, mixtures, random_colouring, random_mixture
+from conftest import colourings, mixtures, random_colouring, random_mixture, search_points
 from inner_product_oracle import cosine_inner_product, inner_product
 from nelder_mead_oracle import nelder_mead_fixed_k
 
@@ -194,6 +195,24 @@ class TestFixedK:
         assert sum(spent) < nelder_mead_fixed_k(2, n_starts=4)[1] / 2
 
 
+class TestLowerBounds:
+    """Each metric's reports are guarded by its own lower bound."""
+
+    def test_sup_optimum_is_attained_by_triangle_plus_s9(self):
+        w = (2 - PI * math.sin(PI / 5)) / 20
+        s9 = new_colouring([j * PI / 9 for j in range(1, 9)])
+        model = Mixture(((1 - w, triangle_colouring()), (w, s9)))
+        assert 0.0 <= sup_distance_to_cosine(mixture_correlation(model)) - SUP_OPTIMUM <= 1e-15
+
+    @pytest.mark.parametrize("metric, bound", [("L2", MIN_L2_DISTANCE), ("sup", SUP_OPTIMUM)])
+    def test_distance_below_the_bound_raises(self, monkeypatch, metric, bound):
+        monkeypatch.setitem(spindisk.optimize._METRICS, metric, lambda bps, values: bound - 2e-9)
+        with pytest.raises(RuntimeError, match=f"{metric} distance .* below the lower bound"):
+            optimise_fixed_k(0, metric=metric)
+        monkeypatch.setitem(spindisk.optimize._METRICS, metric, lambda bps, values: bound - 5e-10)
+        assert optimise_fixed_k(0, metric=metric).distance == bound - 5e-10
+
+
 class TestMonotone:
     def test_k0_feasible(self):
         res = optimise_fixed_k(0, monotone=True)
@@ -272,24 +291,6 @@ class TestArrayObjectives:
             assert lin_m(*kc)[0] == pytest.approx(want, abs=1e-10)
             dd = lin_c(*kc)[0] - lin_c(*km)[0] - lin_m(*kc)[0] + lin_m(*km)[0]
             assert dd == pytest.approx(mean(lambda g: (rho_c.evaluate(g) - rho_m.evaluate(g)) ** 2), abs=1e-10)
-
-
-@st.composite
-def search_points(draw):
-    """Switch angles theta of a k <= 16 search, with the indices of a collapsed pair.
-
-    The free angles stay at least 1e-4 apart and from 0 and pi.  Optionally
-    two angles are equal, a switch pair that collapses below _COLLAPSE_TOL.
-    """
-    pair = draw(st.booleans())
-    # k = n_free + pair is even; the pair repeats the last free angle
-    n_free = 2 * draw(st.integers(0 if pair else 1, (16 - 2 * pair) // 2)) + pair
-    free = draw(st.lists(st.floats(1e-3, PI - 1e-3), min_size=n_free, max_size=n_free))
-    assume(np.all(np.diff(np.sort(free)) > 1e-4))
-    theta = free + free[-1:] * pair
-    order = draw(st.permutations(range(len(theta))))
-    collapsed = {order.index(len(free) - 1), order.index(len(free))} if pair else set()
-    return np.array([theta[i] for i in order]), collapsed
 
 
 def check_gradient(value_and_grad, value_only, theta, collapsed):

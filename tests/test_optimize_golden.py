@@ -11,14 +11,21 @@ pinned by `test_optimize.py::TestFixedK::test_search_end_point_pinned`.
 `pool_024` stops at iteration 1 with the triangle and a gap of exactly
 0.0: the gap and the subproblem's triangle value come from the same
 table, so no rounding difference between two measurement paths shows up
-as a gap.  The digests depend on scipy's L-BFGS-B and Nelder-Mead, so CI
-pins scipy.
+as a gap.  `SEARCH_PATHS` pins the library's searches over ten seeds
+each: their reports, evaluation counts and end points.  The digests
+depend on numpy's rounding and on scipy's L-BFGS-B and Nelder-Mead, so CI
+pins both.
 """
 import hashlib
+import json
 
+import numpy as np
 import pytest
+import scipy.optimize
 from click.testing import CliRunner
 
+import spindisk.optimize
+from spindisk import optimise_fixed_k, optimise_mixture
 from spindisk.cli import main
 
 OPTIMIZE_CASES = {
@@ -51,3 +58,68 @@ def test_optimize_stdout_digest(case):
     result = CliRunner().invoke(main, ["optimize", *args])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+#: job -> (SHA-256 of the to_dict() JSON of seeds 0-9, one line each; total
+#: nfev of the searches; SHA-256 of every search's end point and value).
+#: The reports alone pin little: every L2 fixed-k job reports the triangle,
+#: so l2_k2 and l2_k4 share a report digest.  The evaluation counts and end
+#: points pin each search's path.  Recorded before the per-evaluation
+#: kernels lost their np.diff/np.append/np.clip/np.outer forms.
+SEARCH_PATHS = {
+    "l2_k2": (
+        lambda seed: optimise_fixed_k(2, n_starts=4, seed=seed),
+        "94cc9de033f772e1a79b4e3ce46c5ef31be8181b2e54d29063d6656760067f8b",
+        818,
+        "bcc312f85e494c37f7d2c666153ef49fc1f62428d5a8141c4684391c237b676e",
+    ),
+    "l2_k4": (
+        lambda seed: optimise_fixed_k(4, n_starts=4, seed=seed),
+        "94cc9de033f772e1a79b4e3ce46c5ef31be8181b2e54d29063d6656760067f8b",
+        2054,
+        "cb46e1a597194fdabc3b3e0821c5b19ea0e66766718966afec13f85cc5e2f052",
+    ),
+    "sup_k2": (
+        lambda seed: optimise_fixed_k(2, metric="sup", n_starts=2, seed=seed),
+        "634e61ee0ba88a1ebcf969c6baa029d4f70448bfad47d16003a16fe6cc6eef7b",
+        2719,
+        "358875e8a91dee4612bbe482326693ce93748fe2e9bfe449899652aa96cf0023",
+    ),
+    "monotone_l2_k2": (
+        lambda seed: optimise_fixed_k(2, n_starts=4, seed=seed, monotone=True),
+        "46989f585d5a011f997f9c4981ca3aa1a856767c47fecf4cf4602b72b6d3cc52",
+        818,
+        "bcc312f85e494c37f7d2c666153ef49fc1f62428d5a8141c4684391c237b676e",
+    ),
+    "pool_024": (
+        lambda seed: optimise_mixture([0, 2, 4], n_iterations=5, seed=seed, subproblem_starts=2),
+        "3f964913110c2eeb985242b081ba31b3163d5f34fa0594cc2a3388e6a102499a",
+        1225,
+        "24b63a76d8841407c2e6838239a1c3e96f8940e01ed411e84bccd3e1df020846",
+    ),
+}
+
+
+@pytest.mark.parametrize("job", sorted(SEARCH_PATHS))
+def test_search_paths_over_ten_seeds(job, monkeypatch):
+    run, report_digest, nfev, end_digest = SEARCH_PATHS[job]
+    ends = []
+    lbfgsb, minimize = spindisk.optimize._lbfgsb, scipy.optimize.minimize
+
+    def recording_lbfgsb(*args):
+        ends.append(lbfgsb(*args))
+        return ends[-1]
+
+    def recording_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        if kwargs.get("method") == "Nelder-Mead":  # L-BFGS-B results arrive through _lbfgsb
+            ends.append(res)
+        return res
+
+    monkeypatch.setattr(spindisk.optimize, "_lbfgsb", recording_lbfgsb)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+    text = "\n".join(json.dumps(run(seed).to_dict()) for seed in range(10))
+    assert hashlib.sha256(text.encode()).hexdigest() == report_digest
+    assert sum(res.nfev for res in ends) == nfev
+    points = b"".join(np.append(res.x, res.fun).tobytes() for res in ends)
+    assert hashlib.sha256(points).hexdigest() == end_digest
