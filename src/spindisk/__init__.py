@@ -46,6 +46,7 @@ from .optimize import (
     OptimizationResult,
     optimise_fixed_k,
     optimise_mixture,
+    sup_optimal_mixture,
 )
 
 __all__ = [
@@ -90,4 +91,5 @@ __all__ = [
     "OptimizationResult",
     "optimise_fixed_k",
     "optimise_mixture",
+    "sup_optimal_mixture",
 ]

@@ -9,17 +9,23 @@ Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
 A sampler declares its table keys up front and returns its setting pairs
 with each run's pair index and key index; `UniformSampler` draws a pair
 per run and keys its runs by gamma bin.  The random arrays are drawn
-whole (the sampler's, the rotation u, the component), then the per-run
-work (settings read by pair index, colour lookup, outcome cell and one
-`np.bincount` over (key index, cell)) goes in blocks of `_RUN_BLOCK` runs.
+whole (the sampler's, the rotation u, the component pick), then the
+per-run work (settings read by pair index, component and colour lookup,
+outcome cell and one `np.bincount` over (key index, cell)) goes in blocks
+of `_RUN_BLOCK` runs.
 
-A mixture's colours are read from its components' switch sets laid end to
-end, through a table of uniform bins built once per call: a bin that holds
-no switch stores its colour, so a station's colours are one multiply and
-one gather, and only the queries that land in a bin holding a switch fall
-back to `searchsorted`.  Settings in [0, 2*pi) are wrapped by adding 2*pi
-to a negative difference, bit for bit the `np.remainder` it replaces;
-other settings take the plain `np.remainder`, then the same table.
+Both lookups of a classical run, its mixture component and its colour,
+gather from a table of uniform bins (`_bin_table`, the indexed search of
+Chen & Asau 1974 and Devroye 1986, sec. III.2.4), bit for bit the
+`searchsorted` each replaces.  A bin that holds no point stores the
+answer, so a lookup is one multiply and one gather; only the queries
+that land in a bin holding a point fall back to `searchsorted`.  The
+component table stores the component's shift 2*pi*c over choice's cdf.
+The colour table spans the components' switch sets laid end to end, and
+its fallback queries are kept and read in one `searchsorted` per station
+after the blocks.  Settings in [0, 2*pi) are wrapped by adding 2*pi to a
+negative difference, bit for bit the `np.remainder` it replaces; other
+settings take the plain `np.remainder`, then the same table.
 
 All randomness flows from one child of numpy's SeedSequence(seed), so
 results are reproducible per seed.
@@ -63,8 +69,9 @@ _GAMMA_BINS = 360
 #: Runs per block of the per-run work, so that its temporaries stay in cache.
 _RUN_BLOCK = 8192
 
-#: Colour-table bins per switch in `classical_outcomes`.  A query lands in a
-#: bin that holds a switch, and takes `searchsorted`, about once in this many.
+#: Table bins per point (switch or cdf entry) in `classical_outcomes`.  A
+#: query lands in a bin that holds a point, and takes `searchsorted`, about
+#: once in this many.
 _BINS_PER_SWITCH = 64
 
 
@@ -123,6 +130,22 @@ class UniformSampler:
         return alphas, betas, np.arange(n), idx
 
 
+def _bin_table(points: np.ndarray, scale: float, n_bins: int, values: np.ndarray, mark: float) -> np.ndarray:
+    """Gather table for `searchsorted(points, x, side="right")` over uniform bins.
+
+    Entry b serves the queries x with int(x * scale) == b, b = 0..n_bins.
+    Rounding x * scale is monotone in x, so a query whose bin holds no
+    point is strictly ordered against every point, and its count of points
+    <= x is the number of points in lower bins: the entry stores
+    values[count].  The entry of a bin that holds a point stores `mark`,
+    and its queries must take `searchsorted` over the sorted points.
+    """
+    held = (points * scale).astype(np.intp)
+    table = values[held.searchsorted(np.arange(n_bins + 1))]
+    table[held] = mark
+    return table
+
+
 def classical_outcomes(
     model: Mixture | Colouring,
     alphas: np.ndarray,
@@ -146,53 +169,64 @@ def classical_outcomes(
     for n = 4, k = 16 and ~1e-11 for n = 1000.  A single colouring is not
     shifted.
 
-    The count comes from a table of m = _BINS_PER_SWITCH * len(S) uniform
-    bins over [0, 2*pi*n], built once per call: q falls in bin
-    int(q * scale), scale = m / (2*pi*n).  Rounding q * scale is monotone
-    in q, so a query whose bin holds no switch is strictly ordered against
-    every switch, and its count is the number of switches in lower bins;
-    the table stores that colour.  A bin that holds a switch stores 0, and
-    its queries take `searchsorted` over S.  The colours are thus exactly
-    those of one `searchsorted` over S, the switch at 0 read as 2*pi at a
-    boundary between components included.  A station whose settings are
-    not all in [0, 2*pi) is reduced by `np.remainder` instead of `_wrap`,
-    which holds only on that range; both land in [0, 2*pi].
-
-    The component is drawn as `rng.choice(n_comp, n, p=weights)` draws it:
-    one `random` per run, placed by `searchsorted` in choice's own cdf.
+    Two `_bin_table`s stand in for `searchsorted`.  The component is drawn
+    as `rng.choice(n_comp, n, p=weights)` draws it: one `random` per run,
+    placed in choice's own cdf.  Its table has m = _BINS_PER_SWITCH *
+    n_comp bins over [0, 1), plus bin m, which holds cdf[-1] = 1 (no pick
+    reaches it: (1 - 2**-53) * m rounds below m); it stores the shift
+    2*pi*c, and a pick in a bin that holds a cdf point takes `searchsorted`
+    in the cdf.  The colour table has _BINS_PER_SWITCH * len(S) bins over
+    [0, 2*pi*n), plus the bin where q = 2*pi*n lands, and stores the
+    colour.  The queries that meet a bin holding a switch are kept with
+    their positions, and each station reads them with one
+    `circle.colours` over S after the blocks.  The colours are thus
+    exactly those of one `searchsorted` over S, the switch at 0 read as
+    2*pi at a boundary between components included.  A station whose
+    settings are not all in [0, 2*pi) is reduced by `np.remainder` instead
+    of `_wrap`, which holds only on that range; both land in [0, 2*pi].
     """
     mix = as_mixture(model)
+    n_comp = len(mix.components)
     n = pair_idx.size
     u = rng.uniform(0.0, TWO_PI, n)
-    cdf = None
-    if len(mix.components) > 1:
+    if n_comp > 1:
         weights = np.array([w for w, _ in mix.components])
         cdf = (weights / weights.sum()).cumsum()
         cdf /= cdf[-1]
         pick = rng.random(n)
+        m = _BINS_PER_SWITCH * n_comp
+        shifts = _bin_table(cdf, m, m, TWO_PI * np.arange(n_comp + 1), -1.0)
     switches = np.concatenate([
         np.array(full_switch_set(c)) + TWO_PI * ci for ci, (_, c) in enumerate(mix.components)
     ])
     n_bins = _BINS_PER_SWITCH * switches.size
-    scale = n_bins / (TWO_PI * len(mix.components))
-    bins = (switches * scale).astype(np.intp)
-    # bin b holds the colour after the switches in bins <= b - 1; rounding
-    # can put a query at 2*pi*n in bin n_bins itself
-    table = colours(bins, np.arange(-1, n_bins)).astype(np.int8)
-    table[bins] = 0
+    scale = n_bins / (TWO_PI * n_comp)
+    # the colour after 0, 1, 2, ... switches; 0 marks a bin that holds one
+    table = _bin_table(switches, scale, n_bins, np.resize(np.int8([-1, 1]), switches.size + 1), 0)
 
     in_range = [x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < TWO_PI for x in (alphas, betas)]
     a, b = np.empty(n, np.int8), np.empty(n, np.int8)
+    # per station: positions and queries of the lookups that met a marked bin
+    late_pos = ([np.empty(0, np.intp)], [np.empty(0, np.intp)])
+    late_q = ([np.empty(0)], [np.empty(0)])
     for s in _blocks(n):
-        shift = 0.0 if cdf is None else TWO_PI * cdf.searchsorted(pick[s], side="right")
-        for x, wrap, out in zip((alphas, betas), in_range, (a, b)):
+        shift = 0.0
+        if n_comp > 1:
+            p = pick[s]
+            shift = shifts[(p * m).astype(np.intp)]
+            lost = np.flatnonzero(shift < 0.0)
+            shift[lost] = TWO_PI * cdf.searchsorted(p[lost], side="right")
+        for x, wrap, out, pos, qs in zip((alphas, betas), in_range, (a, b), late_pos, late_q):
             q = x[pair_idx[s]] - u[s]
             q = _wrap(q) if wrap else np.remainder(q, TWO_PI)
             q += shift
             col = table[(q * scale).astype(np.intp)]
             marked = np.flatnonzero(col == 0)
-            col[marked] = colours(switches, q[marked])
+            pos.append(marked + s.start)
+            qs.append(q[marked])
             out[s] = col
+    for out, pos, qs in zip((a, b), late_pos, late_q):
+        out[np.concatenate(pos)] = colours(switches, np.concatenate(qs))
     return a, -b
 
 

@@ -34,6 +34,15 @@ point that is not monotone never replaces the best.  A search that finds
 nothing better reports the triangle itself, not a triangle hidden behind
 near-coincident or boundary-hugging switches.  A reported model is the
 best found, not a proven optimum.
+
+The sup question is solved in closed form: no classical model comes
+closer to -cos in the sup metric than SUP_OPTIMUM = (5*sqrt(5) - 7)/20,
+by the chained Bell inequality rho(pi/m) >= -1 + 2/m at m = 5 (Pearle,
+Phys. Rev. D 2, 1970; Braunstein & Caves, Ann. Phys. 202, 1990), and
+`sup_optimal_mixture`, (1 - w)*triangle + w*S9 with w = (2 -
+pi*sin(pi/5))/20 and S9 the square wave switching at j*pi/9, attains it.
+The searches here do not reach it: fixed-k sup searches, measured up to
+k = 16, report the triangle, and mixture search takes L2 only.
 """
 from __future__ import annotations
 
@@ -60,9 +69,22 @@ MIN_L2_DISTANCE = (1.0 + FIRST_HARMONIC_COEFF_BOUND) / math.sqrt(2.0)
 #: flips from x to x + pi, so one of m equal steps flips it: by the union
 #: bound and rotation invariance rho(pi/m) >= -1 + 2/m (the chained Bell
 #: inequality; linear, so mixtures obey it too), and sup |rho + cos| >=
-#: cos(pi/5) - 3/5.  (1 - w)*triangle + w*S9 (switches j*pi/9) attains it
-#: at w = (2 - pi*sin(pi/5))/20.
+#: cos(pi/5) - 3/5.  `sup_optimal_mixture` attains it.
 SUP_OPTIMUM = (5.0 * math.sqrt(5.0) - 7.0) / 20.0
+
+
+def sup_optimal_mixture() -> Mixture:
+    """(1 - w)*triangle + w*S9, a model at sup distance SUP_OPTIMUM from -cos.
+
+    S9 switches at j*pi/9, j = 1..8, so its rho is the triangle's at 9*gamma.
+    Both read -3/5 at pi/5, where every mixture of them meets the chained
+    bound, and w = (2 - pi*sin(pi/5))/20 makes the mixture's slope there
+    sin(pi/5), so that pi/5 is the peak of rho + cos.
+    """
+    w = (2.0 - PI * math.sin(PI / 5.0)) / 20.0
+    s9 = Colouring(tuple(j * PI / 9.0 for j in range(1, 9)))
+    return Mixture(((1.0 - w, triangle_colouring()), (w, s9)))
+
 
 _COLLAPSE_TOL = 1e-9
 

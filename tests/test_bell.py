@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 from spindisk import (
     CHSHSettings,
     GridSampler,
-    Mixture,
+    LatticeColouring,
     chsh,
     chsh_scan,
     empirical_correlation,
     exact_correlation,
+    lattice_correlation,
     mixture_correlation,
-    new_colouring,
     quantum_correlation,
     run_experiment,
+    sup_optimal_mixture,
     triangle_colouring,
 )
 
@@ -127,14 +128,24 @@ class TestChainedBellBound:
             gammas = PI * np.arange(1, 2 * m, 2) / m
             assert rho.sample(gammas).min() >= -1 + 2 / m - 1e-12
 
+    def test_lattice_minimum_at_pi_over_5(self):
+        # every antiperiodic +-1 vector on 20 cells, the first cell fixed
+        # (rho ignores a global sign): at least 4 of the 20 cell pairs 2
+        # apart (gamma = pi/5) differ, so rho(pi/5) >= 2*4/20 - 1 = -3/5
+        n = 20
+        bits = (np.arange(2 ** (n // 2 - 1))[:, None] >> np.arange(n // 2 - 1)) & 1
+        half = np.hstack([np.ones((bits.shape[0], 1), np.int64), 1 - 2 * bits])
+        col = np.hstack([half, -half])
+        assert len({row.tobytes() for row in col}) == 2**9
+        mismatches = np.count_nonzero(col != np.roll(col, -2, axis=1), axis=1)
+        assert mismatches.min() == 4  # rho = 2 * 4 / 20 - 1 = -3/5 exactly
+        # the triangle attains it
+        assert lattice_correlation(LatticeColouring(n, ()))[2] == 2 * 4 / n - 1
+
     def test_triangle_and_s9_mixture_meets_the_bound_in_simulation(self):
-        # both components read -3/5 at pi/5, the m = 5 bound; w* is the
-        # weight of the sup-optimal mixture
-        w = (2 - PI * math.sin(PI / 5)) / 20
-        model = Mixture((
-            (1 - w, triangle_colouring()),
-            (w, new_colouring([j * PI / 9 for j in range(1, 9)])),
-        ))
+        # both components of the sup-optimal mixture read -3/5 at pi/5, the
+        # m = 5 bound
+        model = sup_optimal_mixture()
         assert mixture_correlation(model).evaluate(PI / 5) == pytest.approx(-0.6, abs=1e-12)
         n = 200_000
         table = run_experiment(model, sampler=GridSampler([(0.0, PI / 5)]), n_runs=n, seed=5)

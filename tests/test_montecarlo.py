@@ -15,8 +15,10 @@ from spindisk import (
     run_experiment,
     triangle_colouring,
 )
-from spindisk.circle import ANGLE_TOL, Mixture
-from spindisk.montecarlo import _BINS_PER_SWITCH, _RUN_BLOCK, classical_outcomes, quantum_outcomes
+from spindisk.circle import ANGLE_TOL, WEIGHT_TOL, Mixture, as_mixture, colours, full_switch_set
+from spindisk.montecarlo import (
+    _BINS_PER_SWITCH, _RUN_BLOCK, _bin_table, classical_outcomes, quantum_outcomes,
+)
 
 from colour_oracle import concatenated_classical_outcomes, masked_classical_outcomes
 from conftest import mixtures, random_colouring, random_mixture
@@ -175,6 +177,135 @@ class TestBinTableLookup:
         a, b = classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)
         a_ref, b_ref = concatenated_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _choice_cdf(model):
+    """The cdf that `rng.choice(n_comp, p=weights / weights.sum())` searches."""
+    w = np.array([w for w, _ in as_mixture(model).components])
+    cdf = (w / w.sum()).cumsum()
+    return cdf / cdf[-1]
+
+
+def _concatenated_switches(model):
+    return np.concatenate([
+        np.array(full_switch_set(c)) + TWO_PI * ci
+        for ci, (_, c) in enumerate(as_mixture(model).components)
+    ])
+
+
+def _crafted_queries(points, scale, n_bins, rng):
+    """Each point and one ulp either side, bin edges and their neighbours, 0 and 1 - 2**-53, random fill."""
+    edges = np.arange(n_bins + 1) / scale
+    x = np.concatenate([
+        *_nudged(points), *_nudged(edges), [0.0, np.nextafter(1.0, 0.0)],
+        rng.uniform(0.0, n_bins / scale, 1000),
+    ])
+    return x[(x >= 0.0) & (x * scale < n_bins + 1)]
+
+
+def _table_lookup(points, scale, n_bins, x):
+    """searchsorted(points, x, side="right") through a `_bin_table` of counts."""
+    table = _bin_table(points, scale, n_bins, np.arange(points.size + 1), -1)
+    count = table[(x * scale).astype(np.intp)]
+    late = count < 0
+    count[late] = points.searchsorted(x[late], side="right")
+    return count
+
+
+def _weights(n_comp, rng):
+    w = rng.uniform(0.05, 1.0, n_comp)
+    return (w / w.sum()).tolist()
+
+
+# each case's weights, from a seed; the last one has weights near WEIGHT_TOL
+_WEIGHT_CASES = {
+    "1": lambda rng: [1.0],
+    "2": lambda rng: _weights(2, rng),
+    "3": lambda rng: _weights(3, rng),
+    "200": lambda rng: _weights(200, rng),
+    "near_weight_tol": lambda rng: [WEIGHT_TOL, 1.0 - 3 * WEIGHT_TOL, WEIGHT_TOL, WEIGHT_TOL],
+}
+
+
+class _Scripted:
+    """Stands in for the generator: hands out the given rotation and picks, in that order."""
+
+    def __init__(self, u, pick):
+        self._draws = {"uniform": u, "random": pick}
+        self.order = []
+
+    def uniform(self, low, high, n):
+        self.order.append("uniform")
+        assert (low, high, n) == (0.0, TWO_PI, self._draws["uniform"].size)
+        return self._draws["uniform"]
+
+    def random(self, n):
+        self.order.append("random")
+        assert n == self._draws["random"].size
+        return self._draws["random"]
+
+
+class TestBinTable:
+    """`_bin_table` lookups with crafted queries equal plain searchsorted(side="right")."""
+
+    @pytest.mark.parametrize("case", sorted(_WEIGHT_CASES))
+    def test_component_cdf(self, case):
+        rng = np.random.default_rng(17)
+        weights = _WEIGHT_CASES[case](rng)
+        cdf = _choice_cdf(Mixture(tuple((w, triangle_colouring()) for w in weights)))
+        m = _BINS_PER_SWITCH * len(weights)
+        x = _crafted_queries(cdf, m, m, rng)
+        assert np.nextafter(1.0, 0.0) in x and 0.0 in x
+        # the largest pick stays below bin m, which only cdf[-1] = 1 reaches
+        assert int(np.nextafter(1.0, 0.0) * m) == m - 1 and int(cdf[-1] * m) == m
+        assert np.array_equal(_table_lookup(cdf, m, m, x), cdf.searchsorted(x, side="right"))
+
+    @pytest.mark.parametrize("n_comp", [1, 2, 200])
+    def test_colour_switches(self, n_comp):
+        rng = np.random.default_rng(n_comp)
+        model = Mixture(tuple(
+            (w, random_colouring(rng, int(rng.choice([0, 2, 8])))) for w in _weights(n_comp, rng)
+        ))
+        switches = _concatenated_switches(model)
+        n_bins = _BINS_PER_SWITCH * switches.size
+        scale = n_bins / (TWO_PI * n_comp)
+        x = _crafted_queries(switches, scale, n_bins, rng)
+        assert np.array_equal(_table_lookup(switches, scale, n_bins, x),
+                              switches.searchsorted(x, side="right"))
+
+    @pytest.mark.parametrize("case", sorted(_WEIGHT_CASES))
+    def test_crafted_picks_through_classical_outcomes(self, case):
+        # the component of each run is cdf.searchsorted(pick, "right"), as
+        # rng.choice(p=) places it, and its colours come from the
+        # concatenated switch sets
+        rng = np.random.default_rng(29)
+        model = Mixture(tuple(
+            (w, random_colouring(rng, int(rng.choice([0, 2, 4])))) for w in _WEIGHT_CASES[case](rng)
+        ))
+        cdf = _choice_cdf(model)
+        m = _BINS_PER_SWITCH * cdf.size
+        pick = _crafted_queries(cdf, m, m, rng)
+        pick = rng.permutation(pick[pick < 1.0])
+        n = pick.size
+        alphas, betas = rng.uniform(0.0, TWO_PI, (2, n))
+        u = rng.uniform(0.0, TWO_PI, n)
+        scripted = _Scripted(u, pick)
+        a, b = classical_outcomes(model, alphas, betas, np.arange(n), scripted)
+        assert scripted.order == (["uniform", "random"] if cdf.size > 1 else ["uniform"])
+        shift = TWO_PI * cdf.searchsorted(pick, side="right") if cdf.size > 1 else 0.0
+        switches = _concatenated_switches(model)
+        for x, sign, got in ((alphas, 1, a), (betas, -1, b)):
+            ref = sign * colours(switches, np.remainder(x - u, TWO_PI) + shift)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n_comp", [1, 3])
+    def test_no_runs(self, n_comp):
+        model = Mixture(tuple((1 / n_comp, triangle_colouring()) for _ in range(n_comp)))
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        a, b = classical_outcomes(model, np.array([0.5]), np.array([1.0]), np.zeros(0, np.intp), rng)
+        assert a.shape == b.shape == (0,) and a.dtype == b.dtype == np.int8
+        concatenated_classical_outcomes(model, np.zeros(0), np.zeros(0), oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 

@@ -18,6 +18,7 @@ from spindisk import (
     optimise_fixed_k,
     optimise_mixture,
     sup_distance_to_cosine,
+    sup_optimal_mixture,
     triangle_colouring,
 )
 import spindisk.optimize
@@ -199,10 +200,18 @@ class TestLowerBounds:
     """Each metric's reports are guarded by its own lower bound."""
 
     def test_sup_optimum_is_attained_by_triangle_plus_s9(self):
+        model = sup_optimal_mixture()
         w = (2 - PI * math.sin(PI / 5)) / 20
         s9 = new_colouring([j * PI / 9 for j in range(1, 9)])
-        model = Mixture(((1 - w, triangle_colouring()), (w, s9)))
+        assert model == Mixture(((1 - w, triangle_colouring()), (w, s9)))
         assert 0.0 <= sup_distance_to_cosine(mixture_correlation(model)) - SUP_OPTIMUM <= 1e-15
+
+    def test_dense_sample_of_the_sup_optimal_mixture(self):
+        # the peak at pi/5 is smooth (second derivative -cos(pi/5)), so a grid
+        # step of ~1.6e-6 misses it by at most ~3e-13
+        gammas = np.linspace(0.0, PI, 2_000_001)
+        rho = mixture_correlation(sup_optimal_mixture()).sample(gammas)
+        assert abs(np.abs(rho + np.cos(gammas)).max() - SUP_OPTIMUM) <= 1e-12
 
     @pytest.mark.parametrize("metric, bound", [("L2", MIN_L2_DISTANCE), ("sup", SUP_OPTIMUM)])
     def test_distance_below_the_bound_raises(self, monkeypatch, metric, bound):
