@@ -210,6 +210,8 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
         sampler = GridSampler([(alpha or 0.0, beta or 0.0)])
     elif alpha is not None or beta is not None:
         raise ValidationError("--grid cannot be combined with --alpha or --beta")
+    elif grid_pairs < 1:
+        raise ValidationError(f"--grid must be >= 1, got {grid_pairs}")
     else:
         sampler = GridSampler([(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)])
     table = run_experiment(model, sampler=sampler, n_runs=runs, seed=seed)

@@ -22,8 +22,12 @@ positions (one cumulative integral, or one more Horner step of the
 table) is summed over the switch differences.  One function,
 `_search_point`, maps the angles to the colouring; every objective and
 every colouring a search reports go through it, so a gradient search's
-value is the value-only objective's bit for bit.  The sup metric, a max,
-has no gradient and runs the Nelder-Mead simplex on the value alone.
+value is the value-only objective's bit for bit.  `_lbfgsb` drives
+scipy's L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
+16, 1995), a reverse-communication routine, from its own loop: scipy
+minimize's iterates, evaluations and end points without its per-start and
+per-evaluation wrappers.  The sup metric, a max, has no gradient and runs
+scipy's Nelder-Mead simplex on the value alone.
 
 One multistart loop, `_multistart`, serves fixed-k and the Frank-Wolfe
 subproblem and measures each search against the triangle wave, the
@@ -213,12 +217,50 @@ def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], th
 
     Both tolerances sit near rounding: with gtol = 1e-9, k = 4 searches
     ended up to 1.6e-10 above the Nelder-Mead distance.
-    """
-    from scipy.optimize import minimize
 
-    options = {"ftol": _FATOL, "gtol": 1e-12, "maxiter": _MAX_ITER}
-    bounds = [_BOUNDS] * theta0.size
-    return minimize(value_and_grad, theta0, method="L-BFGS-B", jac=True, bounds=bounds, options=options)
+    This is scipy 1.17's minimize(method="L-BFGS-B", jac=True, ftol=_FATOL,
+    gtol=1e-12, maxiter=_MAX_ITER) without its wrappers: the same loop over
+    the reverse-communication routine setulb (10 corrections, 20 line-search
+    steps, 15000 evaluations), so the same iterates, evaluation count and
+    result fields x, fun, nfev, nit, status and success.  As scipy's
+    ScalarFunction does, it evaluates the clipped start first and then only
+    points that differ from the last one evaluated, and hands setulb a fresh
+    copy of that gradient, which setulb may overwrite.
+    """
+    from scipy.optimize import OptimizeResult
+    from scipy.optimize._lbfgsb import setulb  # private: its argument list is pinned by scipy>=1.17
+
+    m, n, max_fev = 10, theta0.size, 15000
+    lower, upper = np.full(n, _BOUNDS[0]), np.full(n, _BOUNDS[1])
+    x = theta0.clip(lower, upper)
+    x_f = x.tobytes()
+    f_x, grad = value_and_grad(x.copy())
+    nfev, nit = 1, 0
+    f, g = 0.0, np.zeros(n)
+    nbd = np.full(n, 2, np.int32)  # both bounds
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    factr = _FATOL / np.finfo(float).eps
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, factr, 1e-12, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: f and g at x
+            if x.tobytes() != x_f:  # x > 0 inside the box: equal bytes are np.array_equal's equal values
+                x_f = x.tobytes()
+                f_x, grad = value_and_grad(x.copy())
+                nfev += 1
+            f, g = f_x, grad.copy()
+        elif task[0] == 1:  # NEW_X
+            nit += 1
+            if nit >= _MAX_ITER:
+                task[:] = 5, 504
+            elif nfev > max_fev:
+                task[:] = 5, 502
+        else:
+            break
+    status = 0 if task[0] == 4 else 1 if nfev > max_fev or nit >= _MAX_ITER else 2
+    return OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, status=status, success=status == 0)
 
 
 def _l2_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[float, np.ndarray]:
@@ -284,7 +326,8 @@ def _multistart(
 ) -> tuple[Colouring, float, list[tuple[int, float]], list[Colouring]]:
     """n_starts searches from _start for each k in pool_ks, in pool order; none for k = 0.
 
-    search(theta0) returns scipy's minimize result from the start angles.
+    search(theta0) returns an OptimizeResult of a search from the start
+    angles: _lbfgsb's, or scipy's minimize result for Nelder-Mead.
     The triangle is the starting best, and the colouring of a search's end
     point res.x replaces the best only if its value is lower by more than
     _MIN_GAIN (not res.fun: after an ABNORMAL line-search exit it need not

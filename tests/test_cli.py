@@ -229,6 +229,8 @@ class TestChsh:
     ["sim", "--quantum", "--seed", "-1"],
     ["optimize", "--k", "2", "--seed", "-1"],
     ["demo-figure", "--seed", "-1", "--outdir", "DIR"],
+    ["sim", "--quantum", "--grid", "0"],
+    ["sim", "--quantum", "--grid", "-3"],
 ])
 def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
     placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}

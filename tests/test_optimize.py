@@ -30,12 +30,16 @@ from spindisk.correlation import (
     check_invariants,
 )
 from spindisk.optimize import (
+    _BOUNDS,
+    _FATOL,
     _MONOTONE_TOL,
     _half,
     _l2_with_gradient,
+    _lbfgsb,
     _linear_value,
     _monotone_violation,
     _search_point,
+    _start,
     _sup_objective,
     _with_gradient,
 )
@@ -182,16 +186,9 @@ class TestFixedK:
         assert res.distance <= nelder_mead_fixed_k(k, n_starts=4, seed=seed)[0] + 1e-12
 
     def test_gradient_search_budget(self, monkeypatch):
-        spent = []
-        minimize = scipy.optimize.minimize
-
-        def counting(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            spent.append(res.nfev)
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        ends = record_lbfgsb(monkeypatch)
         optimise_fixed_k(2, n_starts=4)
+        spent = [e.nfev for e in ends]
         assert len(spent) == 4
         assert sum(spent) < nelder_mead_fixed_k(2, n_starts=4)[1] / 2
 
@@ -323,6 +320,9 @@ def check_gradient(value_and_grad, value_only, theta, collapsed):
 #: A start whose first two angles collapse.
 COLLAPSED_START = (np.array([2.0, 2.0, 0.7, 2.8]), {0, 1})
 
+#: The mixture whose Frank-Wolfe table the gradient and search tests share.
+TWO_COMPONENTS = Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5, 2.0]))))
+
 
 class TestGradients:
     """Both exact gradients against central differences of their values."""
@@ -338,7 +338,7 @@ class TestGradients:
 
     @settings(max_examples=100, deadline=None)
     @given(mixtures(), search_points())
-    @example(Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5, 2.0])))), COLLAPSED_START)
+    @example(TWO_COMPONENTS, COLLAPSED_START)
     def test_frank_wolfe_gradient(self, m, point):
         lin = table(m)
 
@@ -346,6 +346,59 @@ class TestGradients:
             return lin(*_kinks(((1.0, _search_point(theta)[0]),)))[0]
 
         check_gradient(_with_gradient(lin), value_only, *point)
+
+
+def minimize_lbfgsb(value_and_grad, theta0):
+    """The search _lbfgsb runs, through scipy's public minimize."""
+    options = {"ftol": _FATOL, "gtol": 1e-12, "maxiter": spindisk.optimize._MAX_ITER}
+    bounds = [_BOUNDS] * theta0.size
+    return scipy.optimize.minimize(value_and_grad, theta0, method="L-BFGS-B", jac=True, bounds=bounds, options=options)
+
+
+def assert_same_search(value_and_grad, theta0):
+    ours, ref = _lbfgsb(value_and_grad, theta0), minimize_lbfgsb(value_and_grad, theta0)
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert (ours.fun, ours.nfev, ours.nit, ours.status, ours.success) == (
+        ref.fun, ref.nfev, ref.nit, ref.status, ref.success
+    )
+    return ours
+
+
+class TestLbfgsbOracle:
+    """_lbfgsb drives scipy's L-BFGS-B routine itself: the same search as minimize's, field for field."""
+
+    OBJECTIVES = {
+        "L2": lambda: _with_gradient(_l2_with_gradient),
+        "triangle_table": lambda: _with_gradient(table(triangle_colouring())),
+        "mixture_table": lambda: _with_gradient(table(TWO_COMPONENTS)),
+    }
+
+    @pytest.mark.parametrize(
+        "objective, k",
+        [("L2", 2), ("L2", 4), ("L2", 8), ("triangle_table", 2), ("triangle_table", 4),
+         ("mixture_table", 2), ("mixture_table", 4)],
+    )
+    def test_seeded_starts(self, objective, k):
+        value_and_grad = self.OBJECTIVES[objective]()
+        rng = np.random.default_rng(k)
+        for _ in range(36):
+            assert_same_search(value_and_grad, _start(rng, k)[0])
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_start_on_and_beyond_the_bounds(self, objective):
+        # 0 and pi are clipped onto the bounds, which the others sit on already
+        value_and_grad = self.OBJECTIVES[objective]()
+        for theta0 in ([_BOUNDS[0], 1.0], [2.5, _BOUNDS[1]], [0.0, 1.0, 2.0, PI], [_BOUNDS[0], 0.4, 1.9, _BOUNDS[1]]):
+            assert_same_search(value_and_grad, np.array(theta0))
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_iteration_cap(self, monkeypatch, objective):
+        monkeypatch.setattr(spindisk.optimize, "_MAX_ITER", 2)
+        value_and_grad = self.OBJECTIVES[objective]()
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            res = assert_same_search(value_and_grad, _start(rng, 4)[0])
+            assert (res.nit, res.status, res.success) == (2, 1, False)
 
 
 class TestMixture:
