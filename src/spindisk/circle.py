@@ -86,13 +86,6 @@ def full_switch_set(c: Colouring) -> tuple[float, ...]:
     return (0.0, *c.switches, PI, *(s + PI for s in c.switches))
 
 
-def segments(c: Colouring) -> list[tuple[float, float, int]]:
-    """Constant-colour arcs as (start, end, colour), covering [0, 2*pi)."""
-    f = full_switch_set(c)
-    ends = f[1:] + (TWO_PI,)
-    return [(a, b, 1 if i % 2 == 0 else -1) for i, (a, b) in enumerate(zip(f, ends))]
-
-
 def colours(switches: np.ndarray, q):
     """Colours (+1 black / -1 white) at queries q from a sorted array of switch points.
 

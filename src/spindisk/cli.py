@@ -172,7 +172,7 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
     if nswitch < 0 or nswitch % 2 != 0:
         raise ValidationError(f"--nswitch must be even and >= 0, got {nswitch}")
     if panels < 1:
-        raise ValidationError("--panels must be >= 1")
+        raise ValidationError(f"--panels must be >= 1, got {panels}")
     if grid < 1:
         raise ValidationError(f"--grid must be >= 1, got {grid}")
     os.makedirs(outdir, exist_ok=True)
@@ -215,14 +215,10 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
     else:
         sampler = GridSampler([(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)])
     table = run_experiment(model, sampler=sampler, n_runs=runs, seed=seed)
-    corr = empirical_correlation(table)
-    keys = table.pairs()
     header = _header("sim", model=model_file or "quantum", runs=runs, seed=seed,
                      alpha=alpha, beta=beta, grid=grid_pairs)
-    _write_text(out, _csv(header, "alpha,beta,npp,npm,nmp,nmm,corr,se", [
-        *np.array(keys).T, *np.array([table.counts[key] for key in keys]).T,
-        *np.array([corr[key] for key in keys]).T,
-    ]))
+    columns = [*np.array(table.pairs).T, *table.counts.T, *empirical_correlation(table)]
+    _write_text(out, _csv(header, "alpha,beta,npp,npm,nmp,nmm,corr,se", columns))
 
 
 @main.command("spectrum")

@@ -143,16 +143,17 @@ def _half_curve(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[np.ndarray
 
 
 def _full_period(bps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and values on [0, 2*pi) from those on [0, pi], by evenness."""
+    """Breakpoints and values on [0, 2*pi], rho(2*pi) = rho(0), from those on [0, pi], by evenness."""
     return (
-        np.concatenate((bps, TWO_PI - bps[-2:0:-1])),
-        np.concatenate((values, values[-2:0:-1])),
+        np.concatenate((bps, TWO_PI - bps[-2:0:-1], [TWO_PI])),
+        np.concatenate((values, values[-2:0:-1], values[:1])),
     )
 
 
 def _kink_curve(components) -> PiecewiseLinearCorrelation:
     """rho = sum_c w_c * rho_c over (w_c, colouring) pairs, from kink weights."""
-    return PiecewiseLinearCorrelation(*_full_period(*_half_curve(*_kinks(components))))
+    bps, values = _full_period(*_half_curve(*_kinks(components)))
+    return PiecewiseLinearCorrelation(bps[:-1], values[:-1])
 
 
 def exact_correlation(c: Colouring) -> PiecewiseLinearCorrelation:

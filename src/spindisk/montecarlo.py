@@ -12,7 +12,9 @@ per run and keys its runs by gamma bin.  The random arrays are drawn
 whole (the sampler's, the rotation u, the component pick), then the
 per-run work (settings read by pair index, component and colour lookup,
 outcome cell and one `np.bincount` over (key index, cell)) goes in blocks
-of `_RUN_BLOCK` runs.
+of `_RUN_BLOCK` runs.  The result is a `CountTable`: the sorted keys that
+got runs and one (rows, 4) count array, from which `empirical_correlation`
+reads the estimate and standard error columns.
 
 Both lookups of a classical run, its mixture component and its colour,
 gather from a table of uniform bins (`_bin_table`, the indexed search of
@@ -32,8 +34,7 @@ results are reproducible per seed.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,24 +45,12 @@ class InvalidSampler(ValueError):
     """Setting sampler has an empty setting set or a non-finite setting."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountTable:
-    """Outcome counts per setting pair: [n++, n+-, n-+, n--]."""
+    """Outcome counts: int64 row counts[j] is [n++, n+-, n-+, n--] at pairs[j], pairs sorted."""
 
-    counts: dict[tuple[float, float], np.ndarray] = field(default_factory=dict)
-
-    def add(self, alpha: float, beta: float, cells: np.ndarray) -> None:
-        key = (alpha, beta)
-        if key in self.counts:
-            self.counts[key] = self.counts[key] + cells
-        else:
-            self.counts[key] = cells.astype(np.int64)
-
-    def n_runs(self) -> int:
-        return int(sum(c.sum() for c in self.counts.values()))
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return sorted(self.counts)
+    pairs: list[tuple[float, float]]
+    counts: np.ndarray
 
 
 _GAMMA_BINS = 360
@@ -249,8 +238,9 @@ def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, s
 
     model=None samples the quantum singlet law instead of a classical
     model.  Deterministic given seed: the stream is the first child of
-    SeedSequence(seed).  A key with no runs gets no table row; keys listed
-    twice share one row.
+    SeedSequence(seed).  A key with no runs gets no table row.  Keys
+    listed twice (equal under ==, as 0.0 and -0.0 are) share one row, under
+    the first listed key that got runs.  Rows follow the sorted keys.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -264,20 +254,17 @@ def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, s
     for s in _blocks(n_runs):
         cells = (a[s] < 0) * 2 + (b[s] < 0)  # 0:++ 1:+- 2:-+ 3:--
         counts += np.bincount(key_idx[s] * 4 + cells, minlength=counts.size).reshape(-1, 4)
-    table = CountTable()
-    for (alpha, beta), cells in zip(sampler.keys, counts):
+    rows = {}
+    for key, cells in zip(sampler.keys, counts):
         if cells.any():
-            table.add(alpha, beta, cells)
-    return table
+            rows[key] = rows.get(key, 0) + cells
+    pairs = sorted(rows)
+    return CountTable(pairs, np.array([rows[key] for key in pairs]))
 
 
-def empirical_correlation(table: CountTable) -> dict[tuple[float, float], tuple[float, float]]:
-    """Per setting pair: (correlation estimate, standard error)."""
-    out = {}
-    for key, cells in table.counts.items():
-        npp, npm, nmp, nmm = (int(x) for x in cells)
-        n = npp + npm + nmp + nmm
-        est = (npp + nmm - npm - nmp) / n
-        se = math.sqrt(max(1.0 - est * est, 0.0) / n)
-        out[key] = (est, se)
-    return out
+def empirical_correlation(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
+    """(correlation estimate, standard error) arrays, one entry per table row."""
+    npp, npm, nmp, nmm = table.counts.T
+    n = table.counts.sum(axis=1)
+    est = (npp + nmm - npm - nmp) / n
+    return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / n)

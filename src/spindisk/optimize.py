@@ -61,7 +61,7 @@ from .circle import (
     ANGLE_TOL, PI, TWO_PI, WEIGHT_TOL, Colouring, Mixture, ValidationError, as_mixture,
     mixture_to_dict, triangle_colouring,
 )
-from .correlation import _differences, _half_curve, _kinks, _l2_distance, _sup_distance
+from .correlation import _differences, _full_period, _half_curve, _kinks, _l2_distance, _sup_distance
 from .spectral import FIRST_HARMONIC_COEFF_BOUND
 
 #: No classical curve can get closer to -cos than this in L2: the first
@@ -301,8 +301,7 @@ def _sup_objective(bps: np.ndarray, values: np.ndarray) -> float:
     is the public sup distance of the colouring's curve, bit for bit, and
     the search reports it.
     """
-    bps = np.concatenate((bps, TWO_PI - bps[-2:0:-1], [TWO_PI]))
-    return _sup_distance(bps, np.concatenate((values, values[-2:0:-1], values[:1])))
+    return _sup_distance(*_full_period(bps, values))
 
 
 #: metric -> distance of the half-period arrays

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Colouring, Mixture, TWO_PI, as_mixture, segments
+from .circle import Colouring, Mixture, TWO_PI, as_mixture, full_switch_set
 from .correlation import PiecewiseLinearCorrelation
 
 #: Largest possible |fhat_1| for a +-1 function is 2/pi (sign-of-cosine
@@ -53,18 +53,15 @@ class BoundCheck:
 
 
 def colouring_spectrum(c: Colouring, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
-    """Complex fhat_n for n = 0..n_max, closed form per constant segment."""
-    segs = segments(c)
-    starts = np.array([a for a, _, _ in segs])
-    ends = np.array([b for _, b, _ in segs])
-    cols = np.array([v for _, _, v in segs], dtype=float)
+    """Complex fhat_n for n = 0..n_max, closed form per arc of the full switch set closed at 2*pi."""
+    ends = np.array((*full_switch_set(c), TWO_PI))
+    cols = np.resize([1.0, -1.0], ends.size - 1)
 
     n = np.arange(1, n_max + 1)
-    e_hi = np.exp(-1j * n[:, None] * ends[None, :])
-    e_lo = np.exp(-1j * n[:, None] * starts[None, :])
+    e = np.exp(-1j * n[:, None] * ends[None, :])
     coeffs = np.zeros(n_max + 1, dtype=complex)
-    coeffs[1:] = ((e_hi - e_lo) * cols[None, :]).sum(axis=1) / (-1j * n * TWO_PI)
-    coeffs[0] = float(np.sum(cols * (ends - starts))) / TWO_PI
+    coeffs[1:] = ((e[:, 1:] - e[:, :-1]) * cols[None, :]).sum(axis=1) / (-1j * n * TWO_PI)
+    coeffs[0] = float(np.sum(cols * (ends[1:] - ends[:-1]))) / TWO_PI
     return coeffs
 
 

@@ -10,10 +10,37 @@ u, then the component index.  For the same rng state they give the same
 - `concatenated_classical_outcomes` is one `np.remainder` and one
   `searchsorted` over the components' switch sets laid end to end.  The
   bin-table lookup must match it bit for bit.
+
+`segments` walks a colouring's constant-colour arcs, the oracle of
+`circle.colours`, and `segment_spectrum` is the per-arc body that
+`spectral.colouring_spectrum` must match byte for byte.
 """
 import numpy as np
 
 from spindisk.circle import TWO_PI, as_mixture, full_switch_set
+
+
+def segments(c):
+    """Constant-colour arcs as (start, end, colour), covering [0, 2*pi)."""
+    f = full_switch_set(c)
+    ends = f[1:] + (TWO_PI,)
+    return [(a, b, 1 if i % 2 == 0 else -1) for i, (a, b) in enumerate(zip(f, ends))]
+
+
+def segment_spectrum(c, n_max):
+    """Complex fhat_n for n = 0..n_max, one exp table per arc end."""
+    segs = segments(c)
+    starts = np.array([a for a, _, _ in segs])
+    ends = np.array([b for _, b, _ in segs])
+    cols = np.array([v for _, _, v in segs], dtype=float)
+
+    n = np.arange(1, n_max + 1)
+    e_hi = np.exp(-1j * n[:, None] * ends[None, :])
+    e_lo = np.exp(-1j * n[:, None] * starts[None, :])
+    coeffs = np.zeros(n_max + 1, dtype=complex)
+    coeffs[1:] = ((e_hi - e_lo) * cols[None, :]).sum(axis=1) / (-1j * n * TWO_PI)
+    coeffs[0] = float(np.sum(cols * (ends - starts))) / TWO_PI
+    return coeffs
 
 
 def _colours_at(c, x):

@@ -6,11 +6,18 @@ component comes from `rng.choice(p=)`, the quantum law is computed per
 run, and one `np.bincount` counts all runs.  The classical outcomes are
 `concatenated_classical_outcomes`, which the library's bin-table lookup
 matches bit for bit.  For the same seed the oracle gives the library's
-count table and leaves its generator in the same state.
+counts, as a dict from each key with runs to its row, and leaves its
+generator in the same state.
+
+`per_key_correlation` is the scalar estimate and standard error of one
+row, in Python ints and floats, which `empirical_correlation` must match
+bit for bit.
 """
+import math
+
 import numpy as np
 
-from spindisk import CountTable, UniformSampler
+from spindisk import UniformSampler
 from spindisk.circle import TWO_PI
 
 from colour_oracle import concatenated_classical_outcomes
@@ -37,8 +44,16 @@ def _quantum_outcomes(alphas, betas, rng):
     return a, b
 
 
+def per_key_correlation(cells):
+    """(estimate, standard error) of one row [n++, n+-, n-+, n--]."""
+    npp, npm, nmp, nmm = (int(x) for x in cells)
+    n = npp + npm + nmp + nmm
+    est = (npp + nmm - npm - nmp) / n
+    return est, math.sqrt(max(1.0 - est * est, 0.0) / n)
+
+
 def whole_array_run_experiment(model, sampler, n_runs, seed):
-    """(count table, generator after the last draw) for run_experiment's arguments."""
+    """({key: count row}, generator after the last draw) for run_experiment's arguments."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     alphas, betas, idx = _draw(sampler, n_runs, rng)
     if model is None:
@@ -47,8 +62,8 @@ def whole_array_run_experiment(model, sampler, n_runs, seed):
         a, b = concatenated_classical_outcomes(model, alphas, betas, rng)
     cells = (a < 0) * 2 + (b < 0)
     counts = np.bincount(idx * 4 + cells, minlength=4 * len(sampler.keys)).reshape(-1, 4)
-    table = CountTable()
-    for (alpha, beta), row in zip(sampler.keys, counts):
+    table = {}
+    for key, row in zip(sampler.keys, counts):
         if row.any():
-            table.add(alpha, beta, row)
+            table[key] = table[key] + row if key in table else row
     return table, rng

@@ -19,9 +19,9 @@ from spindisk.circle import (
     colours,
     mixture_to_dict,
     model_from_dict,
-    segments,
 )
 
+from colour_oracle import segments
 from conftest import random_colouring
 
 PI = math.pi

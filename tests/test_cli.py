@@ -134,6 +134,10 @@ class TestDemoFigure:
         result = runner.invoke(main, ["demo-figure", "--nswitch", "3", "--outdir", str(tmp_path)])
         assert result.exit_code == 2
 
+    def test_zero_panels_error_names_the_value(self, runner, tmp_path):
+        result = runner.invoke(main, ["demo-figure", "--panels", "0", "--outdir", str(tmp_path)])
+        assert result.stderr == "error: ValidationError: --panels must be >= 1, got 0\n"
+
 
 class TestSim:
     def test_quantum_certainty(self, runner):
@@ -231,6 +235,9 @@ class TestChsh:
     ["demo-figure", "--seed", "-1", "--outdir", "DIR"],
     ["sim", "--quantum", "--grid", "0"],
     ["sim", "--quantum", "--grid", "-3"],
+    ["demo-figure", "--panels", "0", "--outdir", "DIR"],
+    ["demo-figure", "--nswitch", "3", "--outdir", "DIR"],
+    ["demo-figure", "--nswitch", "-2", "--outdir", "DIR"],
 ])
 def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
     placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}

@@ -22,7 +22,7 @@ from spindisk.montecarlo import (
 
 from colour_oracle import concatenated_classical_outcomes, masked_classical_outcomes
 from conftest import mixtures, random_colouring, random_mixture
-from experiment_oracle import whole_array_run_experiment
+from experiment_oracle import per_key_correlation, whole_array_run_experiment
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -334,13 +334,13 @@ class TestRunExperiment:
             model=triangle_colouring(), sampler=GridSampler([(0.0, 0.0)]),
             n_runs=1000, seed=7,
         )
-        cells = table.counts[(0.0, 0.0)]
+        cells = table.counts[0]
         assert cells[0] == 0 and cells[3] == 0
         assert cells.sum() == 1000
 
     def test_quantum_certainty_counts(self):
         table = run_experiment(None, sampler=GridSampler([(0.0, 0.0)]), n_runs=1000, seed=7)
-        cells = table.counts[(0.0, 0.0)]
+        cells = table.counts[0]
         assert cells[0] == 0 and cells[3] == 0
 
     def test_seed_determinism(self):
@@ -352,9 +352,8 @@ class TestRunExperiment:
         )
         t1 = run_experiment(**kwargs)
         t2 = run_experiment(**kwargs)
-        assert t1.pairs() == t2.pairs()
-        for key in t1.pairs():
-            assert np.array_equal(t1.counts[key], t2.counts[key])
+        assert t1.pairs == t2.pairs
+        assert np.array_equal(t1.counts, t2.counts)
 
     def test_sharded_determinism_and_totals(self):
         kwargs = dict(
@@ -365,8 +364,8 @@ class TestRunExperiment:
         )
         t1 = run_experiment(**kwargs)
         t2 = run_experiment(**kwargs)
-        assert np.array_equal(t1.counts[(0.3, 1.1)], t2.counts[(0.3, 1.1)])
-        assert t1.n_runs() == 9001
+        assert np.array_equal(t1.counts, t2.counts)
+        assert t1.counts.sum() == 9001
 
     def test_empirical_matches_exact(self, rng):
         c = random_colouring(rng, 4)
@@ -376,21 +375,39 @@ class TestRunExperiment:
             table = run_experiment(
                 model=c, sampler=GridSampler([(0.0, beta)]), n_runs=n, seed=11
             )
-            est, _ = empirical_correlation(table)[(0.0, beta)]
+            (est,), _ = empirical_correlation(table)
             assert est == pytest.approx(pl.evaluate(beta), abs=4 / math.sqrt(n))
 
     def test_uniform_sampler_runs(self):
         table = run_experiment(
             model=triangle_colouring(), sampler=UniformSampler(), n_runs=50, seed=3
         )
-        assert table.n_runs() == 50
+        assert table.counts.sum() == 50
 
     def test_duplicate_grid_pairs_share_a_row(self):
         table = run_experiment(
             model=triangle_colouring(), sampler=GridSampler([(0.0, 1.0), (0.0, 1.0)]),
             n_runs=500, seed=1,
         )
-        assert table.pairs() == [(0.0, 1.0)] and table.n_runs() == 500
+        assert table.pairs == [(0.0, 1.0)] and table.counts.sum() == 500
+
+    def test_unsorted_grid_with_duplicates_gives_sorted_merged_rows(self):
+        keys = [(0.5, 1.0), (0.0, 2.0), (0.5, 1.0), (-0.0, 2.0), (0.0, 1.0)]
+        kwargs = dict(model=new_colouring([0.5, 1.0]), n_runs=5000, seed=2)
+        table = run_experiment(sampler=GridSampler(keys), **kwargs)
+        listed = run_experiment(sampler=_Relabelled(GridSampler(keys)), **kwargs).counts
+        assert len(listed) == 5
+        assert table.pairs == sorted(set(keys)) == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0)]
+        assert math.copysign(1.0, table.pairs[1][0]) == 1.0  # listed before -0.0
+        assert np.array_equal(table.counts, [listed[4], listed[1] + listed[3], listed[0] + listed[2]])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_key_row_takes_first_listing_with_runs(self, seed):
+        sampler = GridSampler([(-0.0, 2.0), (0.0, 2.0)])
+        kwargs = dict(model=triangle_colouring(), n_runs=1, seed=seed)
+        ((alpha, _),) = run_experiment(sampler=sampler, **kwargs).pairs
+        ((listing, _),) = run_experiment(sampler=_Relabelled(sampler), **kwargs).pairs
+        assert math.copysign(1.0, alpha) == (-1.0 if listing == 0 else 1.0)
 
     def test_bad_arguments(self):
         with pytest.raises(TypeError):
@@ -420,6 +437,14 @@ class _Recording:
     def draw(self, n, rng):
         self.rng = rng
         return self._sampler.draw(n, rng)
+
+
+class _Relabelled:
+    """A sampler whose j-th listed key is (j, 0.0), so each listing gets its own row."""
+
+    def __init__(self, sampler):
+        self.keys = [(float(j), 0.0) for j in range(len(sampler.keys))]
+        self.draw = sampler.draw
 
 
 def _many_components(n):
@@ -459,9 +484,9 @@ class TestBlockedKernel:
         recording = _Recording(sampler)
         table = run_experiment(model, sampler=recording, n_runs=n_runs, seed=n_runs)
         ref, ref_rng = whole_array_run_experiment(model, sampler, n_runs, seed=n_runs)
-        assert table.pairs() == ref.pairs() and table.n_runs() == n_runs
-        for key in ref.pairs():
-            assert np.array_equal(table.counts[key], ref.counts[key])
+        assert table.pairs == sorted(ref) and table.counts.sum() == n_runs
+        for key, row in zip(table.pairs, table.counts):
+            assert np.array_equal(row, ref[key])
         assert recording.rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -472,8 +497,8 @@ class TestUniformSampler:
             model=triangle_colouring(), sampler=UniformSampler(), n_runs=n, seed=3
         )
         assert len(table.counts) <= 360
-        assert table.n_runs() == n
-        assert all(alpha == 0.0 and 0.0 < gamma < TWO_PI for alpha, gamma in table.pairs())
+        assert table.counts.sum() == n
+        assert all(alpha == 0.0 and 0.0 < gamma < TWO_PI for alpha, gamma in table.pairs)
 
     def test_bin_estimates_follow_triangle(self):
         n_bins = 360
@@ -484,22 +509,30 @@ class TestUniformSampler:
         pl = exact_correlation(triangle_colouring())
         max_slope = 2 / PI
         assert len(table.counts) == n_bins
-        for (_, gamma), (est, _) in empirical_correlation(table).items():
-            n_bin = int(table.counts[(0.0, gamma)].sum())
+        for (_, gamma), est, cells in zip(table.pairs, empirical_correlation(table)[0], table.counts):
+            n_bin = int(cells.sum())
             bound = 5 / math.sqrt(n_bin) + (TWO_PI / n_bins) * max_slope
             assert abs(est - pl.evaluate(gamma)) <= bound
 
 
 class TestEmpiricalCorrelation:
+    def test_matches_per_key_formula(self, rng):
+        for _ in range(500):
+            n_rows = int(rng.integers(1, 20))
+            counts = rng.integers(0, 10 ** rng.integers(1, 10, size=(n_rows, 4)))
+            counts *= rng.random((n_rows, 4)) < 0.7  # rows with est = +-1 too
+            counts[counts.sum(axis=1) == 0, 0] = 1
+            table = CountTable([(0.0, float(j)) for j in range(n_rows)], counts)
+            want = np.array([per_key_correlation(cells) for cells in counts])
+            assert np.stack(empirical_correlation(table), axis=1).tobytes() == want.tobytes()
+
     def test_perfect_anticorrelation(self):
-        table = CountTable()
-        table.add(0.0, 0.0, np.array([0, 500, 500, 0]))
-        est, se = empirical_correlation(table)[(0.0, 0.0)]
+        table = CountTable([(0.0, 0.0)], np.array([[0, 500, 500, 0]]))
+        (est,), (se,) = empirical_correlation(table)
         assert est == -1.0 and se == 0.0
 
     def test_uncorrelated(self):
-        table = CountTable()
-        table.add(0.0, PI / 2, np.array([250, 250, 250, 250]))
-        est, se = empirical_correlation(table)[(0.0, PI / 2)]
+        table = CountTable([(0.0, PI / 2)], np.array([[250, 250, 250, 250]]))
+        (est,), (se,) = empirical_correlation(table)
         assert est == 0.0
         assert se == pytest.approx(1 / math.sqrt(1000))

@@ -92,9 +92,8 @@ def test_sharded_table_digest():
     ))
     sampler = GridSampler([(0.0, 2 * PI * j / 8) for j in range(8)] + [(0.0, 0.0)])
     table = run_experiment(model=model, sampler=sampler, n_runs=10_001, seed=9)
-    rows = [[alpha, beta, *(int(x) for x in table.counts[(alpha, beta)])]
-            for alpha, beta in table.pairs()]
-    assert table.n_runs() == 10_001
+    rows = [[*pair, *cells] for pair, cells in zip(table.pairs, table.counts.tolist())]
+    assert table.counts.sum() == 10_001
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SHARDED_DIGEST
 
 
@@ -105,7 +104,6 @@ def test_uniform_sampler_table_digest(case):
     if case == "mixture":
         model = Mixture(tuple((c["w"], new_colouring(c["theta"])) for c in MIXTURE["components"]))
     table = run_experiment(model, sampler=UniformSampler(), n_runs=10_001, seed=seed)
-    rows = [[alpha, beta, *(int(x) for x in table.counts[(alpha, beta)])]
-            for alpha, beta in table.pairs()]
-    assert table.n_runs() == 10_001 and len(rows) == 360
+    rows = [[*pair, *cells] for pair, cells in zip(table.pairs, table.counts.tolist())]
+    assert table.counts.sum() == 10_001 and len(rows) == 360
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest

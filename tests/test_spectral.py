@@ -15,7 +15,7 @@ from spindisk import (
 )
 from spindisk.spectral import FIRST_HARMONIC_COEFF_BOUND, Spectrum, pl_cosine_coeffs
 
-from colour_oracle import _colours_at
+from colour_oracle import _colours_at, segment_spectrum
 from conftest import random_colouring, random_mixture
 
 PI = math.pi
@@ -30,6 +30,12 @@ def dft_oracle(c, n, m=4096):
 
 
 class TestColouringSpectrum:
+    @pytest.mark.parametrize("n_max", [1, 7, 99])
+    def test_matches_segment_oracle_bytes(self, rng, n_max):
+        for k in range(0, 81, 2):
+            c = random_colouring(rng, k)
+            assert colouring_spectrum(c, n_max).tobytes() == segment_spectrum(c, n_max).tobytes()
+
     def test_triangle_first_harmonic(self):
         coeffs = colouring_spectrum(triangle_colouring(), 5)
         assert abs(coeffs[1]) == pytest.approx(2 / PI, abs=1e-12)
