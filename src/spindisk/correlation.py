@@ -191,11 +191,12 @@ def _l2_distance(bps: np.ndarray, values: np.ndarray) -> float:
 _SHIFTS = np.array((-TWO_PI, 0.0, TWO_PI))[:, None]
 
 
-def _sup_distance(bps: np.ndarray, values: np.ndarray) -> float:
-    """max |rho + cos| of the continuous rho through (bps, values), exact per piece.
+def _sup_peak(bps: np.ndarray, values: np.ndarray) -> tuple[float, int, int, float]:
+    """max |rho + cos| of the continuous rho through (bps, values), exact per piece, and where it is.
 
     On each piece h(g) = a*g + b + cos g is stationary where sin g = a, so
-    the maximum is attained at a piece endpoint or such a root.
+    the maximum is attained at a piece endpoint or such a root.  Returns
+    it, its candidate row (0, 1: endpoints; 2-7: roots), piece and sign of h.
     """
     g0, g1, a, b = _pieces(bps, values)
     base = np.arcsin(np.minimum(np.maximum(a, -1.0), 1.0))
@@ -205,8 +206,15 @@ def _sup_distance(bps: np.ndarray, values: np.ndarray) -> float:
     np.add(np.concatenate((base, PI - base)).reshape(2, 1, n), _SHIFTS, out=cand[2:].reshape(2, 3, n))
     inside = (cand >= g0) & (cand <= g1) & (np.abs(a) <= 1.0)
     inside[:2] = True  # endpoints always count
-    h = np.abs(a * cand + b + np.cos(cand))
-    return float(h.max(where=inside, initial=0.0))
+    h = a * cand + b + np.cos(cand)
+    peak = np.abs(h) * inside
+    i = int(peak.argmax())
+    return float(peak.flat[i]), *divmod(i, n), math.copysign(1.0, h.flat[i])
+
+
+def _sup_distance(bps: np.ndarray, values: np.ndarray) -> float:
+    """max |rho + cos| of the continuous rho through (bps, values), exact per piece."""
+    return _sup_peak(bps, values)[0]
 
 
 def l2_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:

@@ -16,18 +16,17 @@ twice integrated by parts it is a dot product of the colouring's kink
 weights with a piecewise-cubic table built once per mixture.  The
 Frank-Wolfe gap and step are differences of such values.
 
-The smooth searches, fixed-k L2 and the Frank-Wolfe subproblem, run
+Every search (fixed-k L2 and sup, and the Frank-Wolfe subproblem) runs
 L-BFGS-B on the exact gradient: each objective's derivative in the kink
-positions (one cumulative integral, or one more Horner step of the
-table) is summed over the switch differences.  One function,
-`_search_point`, maps the angles to the colouring; every objective and
-every colouring a search reports go through it, so a gradient search's
-value is the value-only objective's bit for bit.  `_lbfgsb` drives
-scipy's L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
-16, 1995), a reverse-communication routine, from its own loop: scipy
-minimize's iterates, evaluations and end points without its per-start and
-per-evaluation wrappers.  The sup metric, a max, has no gradient and runs
-scipy's Nelder-Mead simplex on the value alone.
+positions (a cumulative integral, the sup peak's, or a Horner step of the
+table) is summed over the switch differences.  The sup distance, a max,
+has it almost everywhere (Danskin, The Theory of Max-Min, 1967), which
+BFGS handles well (Lewis & Overton, Math. Program. 141, 2013).  One
+function, `_search_point`, maps the angles to the colouring of every
+objective and report, so a search's value is the value-only objective's
+bit for bit.  `_lbfgsb` drives scipy's reverse-communication L-BFGS-B
+routine (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) from
+its own loop: scipy's iterates without its wrappers.
 
 One multistart loop, `_multistart`, serves fixed-k and the Frank-Wolfe
 subproblem and measures each search against the triangle wave, the
@@ -46,14 +45,13 @@ Phys. Rev. D 2, 1970; Braunstein & Caves, Ann. Phys. 202, 1990), and
 `sup_optimal_mixture`, (1 - w)*triangle + w*S9 with w = (2 -
 pi*sin(pi/5))/20 and S9 the square wave switching at j*pi/9, attains it.
 The searches here do not reach it: fixed-k sup searches, measured up to
-k = 16, report the triangle, and mixture search takes L2 only.
+k = 32, report the triangle, and mixture search takes L2 only.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -61,7 +59,7 @@ from .circle import (
     ANGLE_TOL, PI, TWO_PI, WEIGHT_TOL, Colouring, Mixture, ValidationError, as_mixture,
     mixture_to_dict, triangle_colouring,
 )
-from .correlation import _differences, _full_period, _half_curve, _kinks, _l2_distance, _sup_distance
+from .correlation import _differences, _full_period, _half_curve, _kinks, _l2_distance, _sup_distance, _sup_peak
 from .spectral import FIRST_HARMONIC_COEFF_BOUND
 
 #: No classical curve can get closer to -cos than this in L2: the first
@@ -96,13 +94,10 @@ _COLLAPSE_TOL = 1e-9
 #: not monotone.
 _MONOTONE_TOL = 1e-12
 
-#: Function tolerance of both searches (Nelder-Mead fatol; L-BFGS-B ftol,
-#: which is absolute for values below 1): some 36 ulp of a distance near
-#: 0.2, so a search stops instead of chasing last-bit differences.
+#: Function tolerance of every search (L-BFGS-B ftol, which is absolute
+#: for values below 1): some 36 ulp of a distance near 0.2, so a search
+#: stops instead of chasing last-bit differences.
 _FATOL = 1e-15
-
-#: Step tolerance (xatol) of the Nelder-Mead searches.
-_XATOL = 1e-9
 
 #: Iteration cap of every search start.
 _MAX_ITER = 2000
@@ -215,10 +210,9 @@ def _with_gradient(kink_objective: _KinkObjective) -> Callable[[np.ndarray], tup
 def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], theta0: np.ndarray):
     """L-BFGS-B from theta0 inside _BOUNDS on an objective that returns its exact gradient.
 
-    Both tolerances sit near rounding: with gtol = 1e-9, k = 4 searches
-    ended up to 1.6e-10 above the Nelder-Mead distance.
+    Every search runs it, with both tolerances near rounding.
 
-    This is scipy 1.17's minimize(method="L-BFGS-B", jac=True, ftol=_FATOL,
+    This is scipy 1.17's public L-BFGS-B method (jac=True, ftol=_FATOL,
     gtol=1e-12, maxiter=_MAX_ITER) without its wrappers: the same loop over
     the reverse-communication routine setulb (10 corrections, 20 line-search
     steps, 15000 evaluations), so the same iterates, evaluation count and
@@ -294,14 +288,34 @@ def _monotone_violation(bps: np.ndarray, values: np.ndarray) -> float:
 def _sup_objective(bps: np.ndarray, values: np.ndarray) -> float:
     """Sup distance of the half-period arrays, taken over the full period.
 
-    The half period has the same maximum, but near the triangle wave its
-    value dips one ulp below the triangle's more often, and the simplex,
-    whose fatol is far below one ulp, chases those dips (4.4 times the
-    evaluations over 30 seeds at k = 2).  Over the full period the value
-    is the public sup distance of the colouring's curve, bit for bit, and
-    the search reports it.
+    Over the full period the value is the public sup distance of the
+    colouring's curve bit for bit, as a reported distance must be.
     """
     return _sup_distance(*_full_period(bps, values))
+
+
+def _sup_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[float, np.ndarray]:
+    """_sup_objective of the kinks' rho, bit for bit, and its derivative in each kink position.
+
+    With rho = -1 + (slope0*g + sum w*(g - d)+) / (2*pi) on [0, pi], F is
+    s*h(g*) at _sup_peak's peak g* of |h|, h = rho + cos (read at 2*pi - g*
+    past pi), so dF/dd = -s*w / (2*pi) for kinks left of g*, else 0.  The
+    kinks on a corner b of h carry it: together s*(rho'(b-) - sin b), by
+    weight.  Where unrelated kinks meet at the peak, F has no gradient.
+    """
+    bps, values = _half_curve(d, w, slope0)
+    dist, row, piece, sign = _sup_peak(*_full_period(bps, values))
+    n = bps.size - 1
+    at = bps.searchsorted(d + ANGLE_TOL, "right") - 1  # each kink's breakpoint, as _half_curve assigns it
+    corner = row < 2  # a piece endpoint, not a stationary root
+    m = min(piece + row, 2 * n - piece - row) if corner else min(piece, 2 * n - 1 - piece)
+    left = at < m if corner else at <= m
+    grad = (-sign / TWO_PI) * w * left
+    on = at == m
+    total = w[on].sum() if corner else 0.0
+    if total:
+        grad[on] = sign * ((slope0 + w[left].sum()) / TWO_PI - math.sin(bps[m])) * w[on] / total
+    return dist, grad
 
 
 #: metric -> distance of the half-period arrays
@@ -317,22 +331,18 @@ def _guard_lower_bound(distance: float, metric: str) -> None:
 
 
 def _multistart(
-    search: Callable,
-    value: Callable[[Colouring], float],
-    pool_ks: list[int],
-    n_starts: int,
-    seed: int,
+    kink_objective: _KinkObjective, value: Callable[[Colouring], float], pool_ks: list[int], n_starts: int, seed: int
 ) -> tuple[Colouring, float, list[tuple[int, float]], list[Colouring]]:
     """n_starts searches from _start for each k in pool_ks, in pool order; none for k = 0.
 
-    search(theta0) returns an OptimizeResult of a search from the start
-    angles: _lbfgsb's, or scipy's minimize result for Nelder-Mead.
-    The triangle is the starting best, and the colouring of a search's end
+    Each search is _lbfgsb on _with_gradient(kink_objective).  The
+    triangle is the starting best, and the colouring of a search's end
     point res.x replaces the best only if its value is lower by more than
     _MIN_GAIN (not res.fun: after an ABNORMAL line-search exit it need not
     be the value at res.x).  Returns the best colouring and value, (start,
     best value after it) for every start, and the start colourings.
     """
+    value_and_grad = _with_gradient(kink_objective)
     rng = np.random.default_rng(seed)
     best_c = triangle_colouring()
     best_v = value(best_c)
@@ -341,7 +351,7 @@ def _multistart(
     for k in pool_ks:
         for _ in range(n_starts if k else 0):
             theta0, c0 = _start(rng, k)
-            c = _search_point(search(theta0).x)[0]
+            c = _search_point(_lbfgsb(value_and_grad, theta0).x)[0]
             v = value(c)
             if v < best_v - _MIN_GAIN:
                 best_v, best_c = v, c
@@ -361,17 +371,14 @@ def optimise_fixed_k(
 
     The search collapses coincident switch pairs (_surviving), so a start
     may end with fewer switches, down to the triangle wave, the starting
-    best of _multistart.  Each start (_start) runs L-BFGS-B on the exact
-    gradient for the L2 metric, and the Nelder-Mead simplex, with step
-    tolerance _XATOL, for the sup metric; both stay inside _BOUNDS and
-    _MAX_ITER caps either.  trace holds (start, best distance after it)
-    for every start; k = 0 runs no start and its trace is [(0, triangle
-    distance)].  monotone=True runs the same search, drops every end point
-    that is not monotone and counts the starts drawn monotone (all of them
-    at k = 0).  The triangle is monotone, so there is always a result.
+    best of _multistart.  Each start (_start) runs L-BFGS-B on the
+    metric's exact gradient inside _BOUNDS.  trace holds (start, best
+    distance after it) for every start; k = 0 runs no start and its trace
+    is [(0, triangle distance)].  monotone=True runs the same search,
+    drops every end point that is not monotone and counts the starts
+    drawn monotone (all of them at k = 0).  The triangle is monotone, so
+    there is always a result.
     """
-    from scipy.optimize import minimize
-
     if k < 0 or k % 2 != 0:
         raise ValidationError(f"k must be even and >= 0, got {k}")
     if n_starts < 1:
@@ -379,22 +386,13 @@ def optimise_fixed_k(
     if metric not in _METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
     distance = _METRICS[metric]
-
-    if metric == "L2":
-        search = partial(_lbfgsb, _with_gradient(_l2_with_gradient))
-    else:
-        # the sup metric is a max: no gradient
-        def objective(theta: np.ndarray) -> float:
-            return distance(*_half(_search_point(theta)[0]))
-
-        options = {"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER}
-        search = partial(minimize, objective, method="Nelder-Mead", bounds=[_BOUNDS] * k, options=options)
+    kink_objective = _sup_with_gradient if metric == "sup" else _l2_with_gradient
 
     def value(c: Colouring) -> float:
         half = _half(c)
         return distance(*half) if not monotone or _monotone_violation(*half) <= _MONOTONE_TOL else math.inf
 
-    best_c, best_d, trace, starts = _multistart(search, value, [k], n_starts, seed)
+    best_c, best_d, trace, starts = _multistart(kink_objective, value, [k], n_starts, seed)
     if not trace:  # k = 0: the triangle is the whole search space, and it is monotone
         trace, starts = [(0, best_d)], [best_c] * n_starts
 
@@ -443,15 +441,9 @@ def _linear_value(bm: np.ndarray, vm: np.ndarray) -> _KinkObjective:
     return lin
 
 
-def _linear_subproblem(
-    lin: _KinkObjective,
-    pool_ks: list[int],
-    seed: int,
-    n_starts: int,
-) -> tuple[Colouring, float]:
+def _linear_subproblem(lin: _KinkObjective, pool_ks: list[int], seed: int, n_starts: int) -> tuple[Colouring, float]:
     """Approximately minimise lin = <rho_c, rho_m + cos> over single colourings."""
-    search = partial(_lbfgsb, _with_gradient(lin))
-    best_c, best_v, _, _ = _multistart(search, lambda c: lin(*_kinks(((1.0, c),)))[0], pool_ks, n_starts, seed)
+    best_c, best_v, _, _ = _multistart(lin, lambda c: lin(*_kinks(((1.0, c),)))[0], pool_ks, n_starts, seed)
     return best_c, best_v
 
 

@@ -1,12 +1,19 @@
-"""Reference oracle: the fixed-k L2 search as derivative-free Nelder-Mead.
+"""Reference oracles: the fixed-k L2 and sup searches as derivative-free Nelder-Mead.
 
-This is the original body of `optimise_fixed_k` for the L2 metric without
-the monotone constraint: the same starts from the same generator, the
-value-only objective on the half-period arrays, and a simplex with
-xatol = tol and fatol = tol**2.  Like the original it searches logistic
-parameters z, whose switches are pi * sort(clip(expit(z))), so it needs
-no bounds.  The tests require the gradient search to end no farther from
--cos and to spend far fewer objective evaluations.
+`nelder_mead_fixed_k` is the original body of `optimise_fixed_k` for the
+L2 metric without the monotone constraint: the same starts from the same
+generator, the value-only objective on the half-period arrays, and a
+simplex with xatol = tol and fatol = tol**2.  Like the original it
+searches logistic parameters z, whose switches are pi *
+sort(clip(expit(z))), so it needs no bounds.
+
+`nelder_mead_sup_fixed_k` is the sup search as `optimise_fixed_k` ran it
+before the sup metric had a gradient: the starts of `_start`, the switch
+angles themselves inside `_BOUNDS`, the value-only `_sup_objective`, and
+a simplex with xatol = 1e-9 and fatol = `_FATOL`.
+
+The tests require the gradient searches to end no farther from -cos and
+to spend far fewer objective evaluations.
 """
 import math
 
@@ -16,7 +23,7 @@ from scipy.special import expit
 
 from spindisk.circle import ANGLE_TOL, PI
 from spindisk.correlation import _l2_distance, exact_correlation, l2_distance_to_cosine
-from spindisk.optimize import _half, _search_point
+from spindisk.optimize import _BOUNDS, _FATOL, _MAX_ITER, _half, _search_point, _start, _sup_objective
 
 
 def _colouring(z):
@@ -47,4 +54,20 @@ def nelder_mead_fixed_k(k, n_starts=32, seed=0, tol=1e-9, max_iter=2000):
         nfev += res.nfev
         c = _colouring(res.x)
         best_d = min(best_d, l2_distance_to_cosine(exact_correlation(c)))
+    return best_d, nfev
+
+
+def nelder_mead_sup_fixed_k(k, n_starts=32, seed=0):
+    """(best sup distance, total objective evaluations) over n_starts bounded simplex runs."""
+
+    def objective(theta):
+        return _sup_objective(*_half(_search_point(theta)[0]))
+
+    options = {"xatol": 1e-9, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER}
+    rng = np.random.default_rng(seed)
+    best_d, nfev = math.inf, 0
+    for _ in range(n_starts):
+        res = minimize(objective, _start(rng, k)[0], method="Nelder-Mead", bounds=[_BOUNDS] * k, options=options)
+        nfev += res.nfev
+        best_d = min(best_d, objective(res.x))
     return best_d, nfev

@@ -41,12 +41,13 @@ from spindisk.optimize import (
     _search_point,
     _start,
     _sup_objective,
+    _sup_with_gradient,
     _with_gradient,
 )
 
 from conftest import colourings, mixtures, random_colouring, random_mixture, search_points
 from inner_product_oracle import cosine_inner_product, inner_product
-from nelder_mead_oracle import nelder_mead_fixed_k
+from nelder_mead_oracle import nelder_mead_fixed_k, nelder_mead_sup_fixed_k
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -192,6 +193,25 @@ class TestFixedK:
         assert len(spent) == 4
         assert sum(spent) < nelder_mead_fixed_k(2, n_starts=4)[1] / 2
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_sup_no_worse_than_nelder_mead(self, monkeypatch, k, seed):
+        # the same starts as the simplex search the sup metric ran before it had a gradient
+        ends = record_lbfgsb(monkeypatch)
+        res = optimise_fixed_k(k, metric="sup", n_starts=4, seed=seed)
+        best, nfev = nelder_mead_sup_fixed_k(k, n_starts=4, seed=seed)
+        assert res.distance <= best + 1e-12
+        assert sum(e.nfev for e in ends) < nfev / 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_k16_sup_start_ends_at_the_triangle(self, monkeypatch, seed):
+        # the simplex left 5 of these 6 starts 0.03 to 0.35 above the triangle
+        ends = record_lbfgsb(monkeypatch)
+        optimise_fixed_k(16, metric="sup", n_starts=2, seed=seed)
+        triangle = _sup_objective(*_half(triangle_colouring()))
+        assert len(ends) == 2
+        assert all(_sup_objective(*_half(_search_point(e.x)[0])) <= triangle + 1e-9 for e in ends)
+
 
 class TestLowerBounds:
     """Each metric's reports are guarded by its own lower bound."""
@@ -325,7 +345,7 @@ TWO_COMPONENTS = Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.5,
 
 
 class TestGradients:
-    """Both exact gradients against central differences of their values."""
+    """The exact gradients against central differences of their values."""
 
     @settings(max_examples=100, deadline=None)
     @given(search_points())
@@ -346,6 +366,17 @@ class TestGradients:
             return lin(*_kinks(((1.0, _search_point(theta)[0]),)))[0]
 
         check_gradient(_with_gradient(lin), value_only, *point)
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    def test_sup_gradient(self, k):
+        # random starts, not drawn angles: round angles such as [1, 2] put
+        # unrelated kinks on the peak, where the sup distance has no gradient
+        def value_only(theta):
+            return _sup_objective(*_half(_search_point(theta)[0]))
+
+        rng = np.random.default_rng(k)
+        for _ in range(25):
+            check_gradient(_with_gradient(_sup_with_gradient), value_only, _start(rng, k)[0], set())
 
 
 def minimize_lbfgsb(value_and_grad, theta0):
@@ -369,14 +400,15 @@ class TestLbfgsbOracle:
 
     OBJECTIVES = {
         "L2": lambda: _with_gradient(_l2_with_gradient),
+        "sup": lambda: _with_gradient(_sup_with_gradient),
         "triangle_table": lambda: _with_gradient(table(triangle_colouring())),
         "mixture_table": lambda: _with_gradient(table(TWO_COMPONENTS)),
     }
 
     @pytest.mark.parametrize(
         "objective, k",
-        [("L2", 2), ("L2", 4), ("L2", 8), ("triangle_table", 2), ("triangle_table", 4),
-         ("mixture_table", 2), ("mixture_table", 4)],
+        [("L2", 2), ("L2", 4), ("L2", 8), ("sup", 2), ("sup", 4), ("sup", 8), ("triangle_table", 2),
+         ("triangle_table", 4), ("mixture_table", 2), ("mixture_table", 4)],
     )
     def test_seeded_starts(self, objective, k):
         value_and_grad = self.OBJECTIVES[objective]()

@@ -13,15 +13,14 @@ pinned by `test_optimize.py::TestFixedK::test_search_end_point_pinned`.
 table, so no rounding difference between two measurement paths shows up
 as a gap.  `SEARCH_PATHS` pins the library's searches over ten seeds
 each: their reports, evaluation counts and end points.  The digests
-depend on numpy's rounding and on scipy's L-BFGS-B and Nelder-Mead, so CI
-pins both.
+depend on numpy's rounding and on scipy's L-BFGS-B, the one solver of
+every search, so CI pins both.
 """
 import hashlib
 import json
 
 import numpy as np
 import pytest
-import scipy.optimize
 from click.testing import CliRunner
 
 import spindisk.optimize
@@ -65,7 +64,11 @@ def test_optimize_stdout_digest(case):
 #: The reports alone pin little: every L2 fixed-k job reports the triangle,
 #: so l2_k2 and l2_k4 share a report digest.  The evaluation counts and end
 #: points pin each search's path.  Recorded before the per-evaluation
-#: kernels lost their np.diff/np.append/np.clip/np.outer forms.
+#: kernels lost their np.diff/np.append/np.clip/np.outer forms; sup_k2's
+#: evaluation count and end points re-recorded when the sup searches moved
+#: from Nelder-Mead to L-BFGS-B on the exact peak gradient (its report is
+#: unchanged).  sup_k4 pins a sup search that takes ~35 evaluations a
+#: start, where sup_k2 takes ~4.
 SEARCH_PATHS = {
     "l2_k2": (
         lambda seed: optimise_fixed_k(2, n_starts=4, seed=seed),
@@ -82,8 +85,14 @@ SEARCH_PATHS = {
     "sup_k2": (
         lambda seed: optimise_fixed_k(2, metric="sup", n_starts=2, seed=seed),
         "634e61ee0ba88a1ebcf969c6baa029d4f70448bfad47d16003a16fe6cc6eef7b",
-        2719,
-        "358875e8a91dee4612bbe482326693ce93748fe2e9bfe449899652aa96cf0023",
+        86,
+        "eb5225696e892ee9abf0017fd029a005843418540f50b94a606cb8279e69b4a8",
+    ),
+    "sup_k4": (
+        lambda seed: optimise_fixed_k(4, metric="sup", n_starts=2, seed=seed),
+        "634e61ee0ba88a1ebcf969c6baa029d4f70448bfad47d16003a16fe6cc6eef7b",
+        686,
+        "2763658d969d9ff2cf70d12236ef6b471e5c7c6af3e214e081a4ebcf4312dfd6",
     ),
     "monotone_l2_k2": (
         lambda seed: optimise_fixed_k(2, n_starts=4, seed=seed, monotone=True),
@@ -104,20 +113,13 @@ SEARCH_PATHS = {
 def test_search_paths_over_ten_seeds(job, monkeypatch):
     run, report_digest, nfev, end_digest = SEARCH_PATHS[job]
     ends = []
-    lbfgsb, minimize = spindisk.optimize._lbfgsb, scipy.optimize.minimize
+    lbfgsb = spindisk.optimize._lbfgsb
 
     def recording_lbfgsb(*args):
         ends.append(lbfgsb(*args))
         return ends[-1]
 
-    def recording_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        if kwargs.get("method") == "Nelder-Mead":  # L-BFGS-B results arrive through _lbfgsb
-            ends.append(res)
-        return res
-
     monkeypatch.setattr(spindisk.optimize, "_lbfgsb", recording_lbfgsb)
-    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
     text = "\n".join(json.dumps(run(seed).to_dict()) for seed in range(10))
     assert hashlib.sha256(text.encode()).hexdigest() == report_digest
     assert sum(res.nfev for res in ends) == nfev
