@@ -44,7 +44,7 @@ from .spectral import (
     spectrum,
 )
 
-_ERRORS = (ValidationError, InvalidSampler, InfeasibleStart, OSError, json.JSONDecodeError)
+_ERRORS = (ValidationError, InvalidSampler, InfeasibleStart, OSError, json.JSONDecodeError, MemoryError)
 
 
 def _load_model(path: str) -> Colouring | Mixture:
@@ -130,6 +130,8 @@ class _Group(click.Group):
         try:
             return super().invoke(ctx)
         except _ERRORS as exc:
+            if isinstance(exc, MemoryError):  # a grid or scan too large to allocate is invalid input
+                exc = ValidationError(f"too large: {exc}")
             _echo(f"error: {type(exc).__name__}: {exc}\n", sys.stderr)
             sys.exit(2)
 

@@ -26,7 +26,10 @@ function, `_search_point`, maps the angles to the colouring of every
 objective and report, so a search's value is the value-only objective's
 bit for bit.  `_lbfgsb` drives scipy's reverse-communication L-BFGS-B
 routine (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) from
-its own loop: scipy's iterates without its wrappers.
+its own loop: scipy's iterates without its wrappers.  It is all the
+optimiser takes from scipy: `_setulb` loads scipy's compiled `_lbfgsb`
+extension by file, without importing scipy.optimize, so the scipy pin
+also pins that file's location.
 
 One multistart loop, `_multistart`, serves fixed-k and the Frank-Wolfe
 subproblem and measures each search against the triangle wave, the
@@ -49,9 +52,14 @@ k = 32, report the triangle, and mixture search takes L2 only.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -170,12 +178,18 @@ def _search_point(theta: np.ndarray) -> tuple[Colouring, np.ndarray, list[int]]:
     return Colouring(tuple([th[m] for m in keep])), order, keep  # sorted floats: new_colouring would redo both
 
 
-def _start(rng: np.random.Generator, k: int) -> tuple[np.ndarray, Colouring]:
-    """Start angles pi * expit(z), z ~ N(0, 1.5^2), and their colouring, all k switches 1e-6 apart."""
-    from scipy.special import expit  # scipy loads only when an optimiser runs
+def _logistic(z: float) -> float:
+    """1 / (1 + exp(-z)) with libm's exp, scipy.special.expit(z) bit for bit; 0 where exp(-z) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
 
+
+def _start(rng: np.random.Generator, k: int) -> tuple[np.ndarray, Colouring]:
+    """Start angles pi * logistic(z), z ~ N(0, 1.5^2), and their colouring, all k switches 1e-6 apart."""
     for _ in range(100):
-        theta0 = PI * expit(rng.normal(scale=1.5, size=k))
+        theta0 = PI * np.array([_logistic(z) for z in rng.normal(scale=1.5, size=k).tolist()])
         c0 = _search_point(theta0)[0]
         if c0.k == k and np.all(np.diff(c0.switches) > 1e-6):
             return theta0, c0
@@ -207,7 +221,32 @@ def _with_gradient(kink_objective: _KinkObjective) -> Callable[[np.ndarray], tup
     return value_and_grad
 
 
-def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], theta0: np.ndarray):
+@functools.cache
+def _setulb() -> Callable:
+    """setulb from the file of scipy's _lbfgsb extension: scipy.optimize costs a fresh process ~0.5 s, ~40 MB.
+
+    An _lbfgsb already imported is reused.  The loader's sys.modules entry is
+    dropped, so a later import of scipy.optimize binds its _lbfgsb as usual.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name].setulb
+    scipy = importlib.util.find_spec("scipy")
+    for d in scipy.submodule_search_locations if scipy else []:
+        spec = FileFinder(f"{d}/optimize", (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module.setulb
+    raise ImportError(f"no {name} extension file in scipy: the optimiser needs scipy>=1.17,<1.18")
+
+
+#: _lbfgsb's end point, with the fields of scipy's OptimizeResult that callers read
+_LbfgsbResult = namedtuple("_LbfgsbResult", "x fun nfev nit status success")
+
+
+def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], theta0: np.ndarray) -> _LbfgsbResult:
     """L-BFGS-B from theta0 inside _BOUNDS on an objective that returns its exact gradient.
 
     Every search runs it, with both tolerances near rounding.
@@ -219,11 +258,11 @@ def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], th
     result fields x, fun, nfev, nit, status and success.  As scipy's
     ScalarFunction does, it evaluates the clipped start first and then only
     points that differ from the last one evaluated, and hands setulb a fresh
-    copy of that gradient, which setulb may overwrite.
+    copy of that gradient, which setulb may overwrite.  setulb is loaded
+    from the _lbfgsb extension's file alone (_setulb); scipy>=1.17,<1.18
+    pins its private argument list and that file's location.
     """
-    from scipy.optimize import OptimizeResult
-    from scipy.optimize._lbfgsb import setulb  # private: its argument list is pinned by scipy>=1.17
-
+    setulb = _setulb()
     m, n, max_fev = 10, theta0.size, 15000
     lower, upper = np.full(n, _BOUNDS[0]), np.full(n, _BOUNDS[1])
     x = theta0.clip(lower, upper)
@@ -254,7 +293,7 @@ def _lbfgsb(value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], th
         else:
             break
     status = 0 if task[0] == 4 else 1 if nfev > max_fev or nit >= _MAX_ITER else 2
-    return OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, status=status, success=status == 0)
+    return _LbfgsbResult(x, f, nfev, nit, status, status == 0)
 
 
 def _l2_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[float, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Reference oracles: the fixed-k L2 and sup searches as derivative-free Nelder-Mead.
+"""Reference oracles: the fixed-k L2 and sup searches as derivative-free Nelder-Mead, and scipy's start angles.
 
 `nelder_mead_fixed_k` is the original body of `optimise_fixed_k` for the
 L2 metric without the monotone constraint: the same starts from the same
@@ -14,6 +14,9 @@ a simplex with xatol = 1e-9 and fatol = `_FATOL`.
 
 The tests require the gradient searches to end no farther from -cos and
 to spend far fewer objective evaluations.
+
+`expit_start` is `_start` as it drew its angles with scipy.special.expit;
+`_start`'s own logistic must equal it bit for bit.
 """
 import math
 
@@ -29,6 +32,15 @@ from spindisk.optimize import _BOUNDS, _FATOL, _MAX_ITER, _half, _search_point, 
 def _colouring(z):
     """The colouring of logistic parameters z; a clipped switch stays inside (0, pi)."""
     return _search_point(PI * np.clip(expit(z), ANGLE_TOL, 1.0 - ANGLE_TOL))[0]
+
+
+def expit_start(rng, k):
+    """The start angles pi * expit(z) that `_start` returns, drawn and retried as `_start` does."""
+    for _ in range(100):
+        theta0 = PI * expit(rng.normal(scale=1.5, size=k))
+        c0 = _search_point(theta0)[0]
+        if c0.k == k and np.all(np.diff(c0.switches) > 1e-6):
+            return theta0
 
 
 def nelder_mead_fixed_k(k, n_starts=32, seed=0, tol=1e-9, max_iter=2000):

@@ -238,6 +238,9 @@ class TestChsh:
     ["demo-figure", "--panels", "0", "--outdir", "DIR"],
     ["demo-figure", "--nswitch", "3", "--outdir", "DIR"],
     ["demo-figure", "--nswitch", "-2", "--outdir", "DIR"],
+    # both arrays exceed a 47-bit address space, so their allocation fails at once
+    ["chsh", "--quantum", "--scan-step", "1e-15"],
+    ["corr", "MODEL", "--grid", "10000000000000000"],
 ])
 def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
     placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}
@@ -297,10 +300,40 @@ def test_discarded_invocations_do_not_keep_their_output(model_file, tmp_path):
     assert _traced_growth(corr(str(bad), 2), 200) < 100 * 2**10
 
 
+# A fresh interpreter: neither the CLI import nor one optimize of each mode
+# loads a scipy package module, only the file of scipy's _lbfgsb extension.  Then
+# scipy.optimize, imported after them, binds that same setulb, and one
+# seeded minimize(method="L-BFGS-B") equals _lbfgsb field for field (in
+# this process test_optimize imports scipy.optimize first, so only a fresh
+# one loads setulb from its file).
+_FRESH_PROCESS = """
+import sys
+import numpy as np
+from click.testing import CliRunner
+import spindisk.cli
+from spindisk.optimize import _l2_with_gradient, _setulb, _start, _with_gradient
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy_modules())
+for args in (["--k", "2"], ["--k", "2", "--metric", "sup"], ["--k", "2", "--monotone"], ["--pool", "0,2"]):
+    result = CliRunner().invoke(spindisk.cli.main, ["optimize", *args, "--starts", "4", "--iterations", "3"])
+    assert result.exit_code == 0, result.output
+print(scipy_modules())
+import scipy.optimize
+from test_optimize import assert_same_search
+print(scipy.optimize._lbfgsb.setulb is _setulb())
+assert_same_search(_with_gradient(_l2_with_gradient), _start(np.random.default_rng(5), 4)[0])
+"""
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only when an optimiser runs: with it, the import's RSS was 78 MB, not 29
-    code = "import sys, spindisk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # with scipy, the import's RSS was 78 MB, not 29
     src = os.path.dirname(os.path.dirname(spindisk.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    path = os.pathsep.join([src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n[]\nTrue\n"

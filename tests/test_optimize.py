@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy.integrate import quad
+from scipy.special import expit
 from hypothesis import example, given, settings, strategies as st
 
 from spindisk import (
@@ -37,6 +38,7 @@ from spindisk.optimize import (
     _l2_with_gradient,
     _lbfgsb,
     _linear_value,
+    _logistic,
     _monotone_violation,
     _search_point,
     _start,
@@ -47,7 +49,7 @@ from spindisk.optimize import (
 
 from conftest import colourings, mixtures, random_colouring, random_mixture, search_points
 from inner_product_oracle import cosine_inner_product, inner_product
-from nelder_mead_oracle import nelder_mead_fixed_k, nelder_mead_sup_fixed_k
+from nelder_mead_oracle import expit_start, nelder_mead_fixed_k, nelder_mead_sup_fixed_k
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -393,6 +395,26 @@ def assert_same_search(value_and_grad, theta0):
         ref.fun, ref.nfev, ref.nit, ref.status, ref.success
     )
     return ours
+
+
+class TestStartAngles:
+    """_start's logistic is scipy's expit bit for bit, so seeded starts, and the searches from them, are unchanged."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 64, 200])
+    def test_start_equals_expit_start(self, k):
+        for seed in range(300):
+            z = np.random.default_rng(seed).normal(scale=1.5, size=k)
+            assert (PI * np.array([_logistic(v) for v in z.tolist()])).tobytes() == (PI * expit(z)).tobytes()
+            if k % 2 == 0:  # a colouring has an even switch count, so _start draws only even k
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert _start(ours, k)[0].tobytes() == expit_start(ref, k).tobytes()
+                assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_extreme_z(self):
+        # exp(-z) overflows below z = -709.78: expit reads 0 there, and the logistic must not raise
+        z = [-1e308, -1e5, -710.0, -709.79, -709.78, -709.5, -745.2, -40.0, -1e-300, 0.0, 5e-324, 36.7, 710.0, 1e308]
+        z += np.random.default_rng(0).normal(scale=300.0, size=1000).tolist()
+        assert np.array([_logistic(v) for v in z]).tobytes() == expit(np.array(z)).tobytes()
 
 
 class TestLbfgsbOracle:
