@@ -25,7 +25,6 @@ from .montecarlo import (
     CountTable,
     GridSampler,
     InvalidSampler,
-    UniformSampler,
     empirical_correlation,
     run_experiment,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "CountTable",
     "GridSampler",
     "InvalidSampler",
-    "UniformSampler",
     "empirical_correlation",
     "run_experiment",
     "FIRST_HARMONIC_COEFF_BOUND",

@@ -6,15 +6,14 @@ each outcome depends only on the shared (component, rotation) pair and the
 local setting.  The quantum simulator samples the four-cell joint law
 Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
 
-A sampler declares its table keys up front and returns its setting pairs
-with each run's pair index and key index; `UniformSampler` draws a pair
-per run and keys its runs by gamma bin.  The random arrays are drawn
-whole (the sampler's, the rotation u, the component pick), then the
-per-run work (settings read by pair index, component and colour lookup,
-outcome cell and one `np.bincount` over (key index, cell)) goes in blocks
-of `_RUN_BLOCK` runs.  The result is a `CountTable`: the sorted keys that
-got runs and one (rows, 4) count array, from which `empirical_correlation`
-reads the estimate and standard error columns.
+A sampler lists its setting pairs as table keys and draws each run's
+index into that list.  The random arrays are drawn whole (the
+sampler's, the rotation u, the component pick), then the per-run work
+(settings read by index, component and colour lookup, outcome cell and
+one `np.bincount` over (index, cell)) goes in blocks of `_RUN_BLOCK`
+runs.  The result is a `CountTable`: the sorted keys that got runs and
+one (rows, 4) count array, from which `empirical_correlation` reads the
+estimate and standard error columns.
 
 Both lookups of a classical run, its mixture component and its colour,
 gather from a table of uniform bins (`_bin_table`, the indexed search of
@@ -53,8 +52,6 @@ class CountTable:
     counts: np.ndarray
 
 
-_GAMMA_BINS = 360
-
 #: Runs per block of the per-run work, so that its temporaries stay in cache.
 _RUN_BLOCK = 8192
 
@@ -79,10 +76,9 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, i + _RUN_BLOCK) for i in range(0, n, _RUN_BLOCK)]
 
 
-# A sampler has `keys`, the list of (alpha, beta) table keys, and
-# `draw(n, rng) -> (alphas, betas, pair_idx, key_idx)`: the setting pairs
-# (alphas[j], betas[j]), and for run i its pair pair_idx[i] and its key
-# keys[key_idx[i]].
+# A sampler has `keys`, the list of (alpha, beta) setting pairs, and
+# `draw(n, rng) -> (alphas, betas, idx)`: run i uses the settings
+# (alphas[idx[i]], betas[idx[i]]) and is counted under keys[idx[i]].
 
 class GridSampler:
     """Settings drawn uniformly from a finite list of pairs; one pair fixes them."""
@@ -96,27 +92,7 @@ class GridSampler:
         self._alphas, self._betas = np.array(self.keys).T.copy()
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        idx = rng.integers(len(self.keys), size=n)
-        return self._alphas, self._betas, idx, idx
-
-
-class UniformSampler:
-    """Independent uniform settings on [0, 2*pi) for both stations.
-
-    Runs are counted in _GAMMA_BINS equal bins of gamma = beta - alpha (mod
-    2*pi), keyed (0, bin centre).  The spinning disk makes rho depend on
-    gamma alone, so the bin's gamma is the only meaningful key; a key per
-    drawn pair would give every run its own table row.
-    """
-
-    def __init__(self):
-        self.keys = [(0.0, (j + 0.5) * TWO_PI / _GAMMA_BINS) for j in range(_GAMMA_BINS)]
-
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        alphas, betas = rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, TWO_PI, n)
-        gammas = _wrap(betas - alphas)
-        idx = np.minimum((gammas * (_GAMMA_BINS / TWO_PI)).astype(np.intp), _GAMMA_BINS - 1)
-        return alphas, betas, np.arange(n), idx
+        return self._alphas, self._betas, rng.integers(len(self.keys), size=n)
 
 
 def _bin_table(points: np.ndarray, scale: float, n_bins: int, values: np.ndarray, mark: float) -> np.ndarray:
@@ -245,7 +221,7 @@ def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, s
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    alphas, betas, pair_idx, key_idx = sampler.draw(n_runs, rng)
+    alphas, betas, pair_idx = sampler.draw(n_runs, rng)
     if model is None:
         a, b = quantum_outcomes(alphas, betas, pair_idx, rng)
     else:
@@ -253,7 +229,7 @@ def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, s
     counts = np.zeros((len(sampler.keys), 4), np.int64)
     for s in _blocks(n_runs):
         cells = (a[s] < 0) * 2 + (b[s] < 0)  # 0:++ 1:+- 2:-+ 3:--
-        counts += np.bincount(key_idx[s] * 4 + cells, minlength=counts.size).reshape(-1, 4)
+        counts += np.bincount(pair_idx[s] * 4 + cells, minlength=counts.size).reshape(-1, 4)
     rows = {}
     for key, cells in zip(sampler.keys, counts):
         if cells.any():

@@ -23,7 +23,8 @@ table) is summed over the switch differences.  The sup distance, a max,
 has it almost everywhere (Danskin, The Theory of Max-Min, 1967), which
 BFGS handles well (Lewis & Overton, Math. Program. 141, 2013).  One
 function, `_search_point`, maps the angles to the colouring of every
-objective and report, so a search's value is the value-only objective's
+objective and report, and searches and reports read the same kink
+objective, `_METRICS[metric]`: a reported distance is a search's value
 bit for bit.  `_lbfgsb` drives scipy's reverse-communication L-BFGS-B
 routine (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) from
 its own loop: scipy's iterates without its wrappers.  It is all the
@@ -35,11 +36,11 @@ One multistart loop, `_multistart`, serves fixed-k and the Frank-Wolfe
 subproblem and measures each search against the triangle wave, the
 zero-switch colouring: it is the starting best, and an end point
 replaces the best only if it is lower by more than _MIN_GAIN.  The
-monotone constraint is a filter, not a term of the objective: an end
-point that is not monotone never replaces the best.  A search that finds
-nothing better reports the triangle itself, not a triangle hidden behind
-near-coincident or boundary-hugging switches.  A reported model is the
-best found, not a proven optimum.
+monotone constraint is a filter (`keep`), not a term of the objective:
+an end point that is not monotone never replaces the best.  A search
+that finds nothing better reports the triangle itself, not a triangle
+hidden behind near-coincident or boundary-hugging switches.  A reported
+model is the best found, not a proven optimum.
 
 The sup question is solved in closed form: no classical model comes
 closer to -cos in the sup metric than SUP_OPTIMUM = (5*sqrt(5) - 7)/20,
@@ -67,7 +68,7 @@ from .circle import (
     ANGLE_TOL, PI, TWO_PI, WEIGHT_TOL, Colouring, Mixture, ValidationError, as_mixture,
     mixture_to_dict, triangle_colouring,
 )
-from .correlation import _differences, _full_period, _half_curve, _kinks, _l2_distance, _sup_distance, _sup_peak
+from .correlation import _differences, _full_period, _half_curve, _kinks, _l2_distance, _sup_peak
 from .spectral import FIRST_HARMONIC_COEFF_BOUND
 
 #: No classical curve can get closer to -cos than this in L2: the first
@@ -324,17 +325,11 @@ def _monotone_violation(bps: np.ndarray, values: np.ndarray) -> float:
     return float(np.maximum(-(values[1:] - values[:-1]) / (bps[1:] - bps[:-1]), 0.0).sum())
 
 
-def _sup_objective(bps: np.ndarray, values: np.ndarray) -> float:
-    """Sup distance of the half-period arrays, taken over the full period.
-
-    Over the full period the value is the public sup distance of the
-    colouring's curve bit for bit, as a reported distance must be.
-    """
-    return _sup_distance(*_full_period(bps, values))
-
-
 def _sup_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[float, np.ndarray]:
-    """_sup_objective of the kinks' rho, bit for bit, and its derivative in each kink position.
+    """Sup distance to -cos of the kinks' rho, and its derivative in each kink position.
+
+    The distance is taken over the full period, so it is the public sup
+    distance of the model's curve bit for bit, as a reported distance must be.
 
     With rho = -1 + (slope0*g + sum w*(g - d)+) / (2*pi) on [0, pi], F is
     s*h(g*) at _sup_peak's peak g* of |h|, h = rho + cos (read at 2*pi - g*
@@ -357,8 +352,8 @@ def _sup_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[flo
     return dist, grad
 
 
-#: metric -> distance of the half-period arrays
-_METRICS = {"L2": _l2_distance, "sup": _sup_objective}
+#: metric -> kink objective: the distance that searches minimise and reports read
+_METRICS = {"L2": _l2_with_gradient, "sup": _sup_with_gradient}
 
 
 def _guard_lower_bound(distance: float, metric: str) -> None:
@@ -370,29 +365,32 @@ def _guard_lower_bound(distance: float, metric: str) -> None:
 
 
 def _multistart(
-    kink_objective: _KinkObjective, value: Callable[[Colouring], float], pool_ks: list[int], n_starts: int, seed: int
+    kink_objective: _KinkObjective, pool_ks: list[int], n_starts: int, seed: int,
+    keep: Callable[[Colouring], bool] | None = None,
 ) -> tuple[Colouring, float, list[tuple[int, float]], list[Colouring]]:
     """n_starts searches from _start for each k in pool_ks, in pool order; none for k = 0.
 
-    Each search is _lbfgsb on _with_gradient(kink_objective).  The
-    triangle is the starting best, and the colouring of a search's end
-    point res.x replaces the best only if its value is lower by more than
-    _MIN_GAIN (not res.fun: after an ABNORMAL line-search exit it need not
-    be the value at res.x).  Returns the best colouring and value, (start,
-    best value after it) for every start, and the start colourings.
+    Each search is _lbfgsb on _with_gradient(kink_objective), and every
+    value, the triangle's and each end point's, is kink_objective's at the
+    colouring's kinks.  The triangle is the starting best, and the
+    colouring of a search's end point res.x replaces the best only if its
+    value is lower by more than _MIN_GAIN (not res.fun: after an ABNORMAL
+    line-search exit it need not be the value at res.x) and keep, if
+    given, accepts it.  Returns the best colouring and value, (start, best
+    value after it) for every start, and the start colourings.
     """
     value_and_grad = _with_gradient(kink_objective)
     rng = np.random.default_rng(seed)
     best_c = triangle_colouring()
-    best_v = value(best_c)
+    best_v = kink_objective(*_kinks(((1.0, best_c),)))[0]
     trace: list[tuple[int, float]] = []
     starts: list[Colouring] = []
     for k in pool_ks:
         for _ in range(n_starts if k else 0):
             theta0, c0 = _start(rng, k)
             c = _search_point(_lbfgsb(value_and_grad, theta0).x)[0]
-            v = value(c)
-            if v < best_v - _MIN_GAIN:
+            v = kink_objective(*_kinks(((1.0, c),)))[0]
+            if v < best_v - _MIN_GAIN and (keep is None or keep(c)):
                 best_v, best_c = v, c
             trace.append((len(starts), best_v))
             starts.append(c0)
@@ -411,12 +409,13 @@ def optimise_fixed_k(
     The search collapses coincident switch pairs (_surviving), so a start
     may end with fewer switches, down to the triangle wave, the starting
     best of _multistart.  Each start (_start) runs L-BFGS-B on the
-    metric's exact gradient inside _BOUNDS.  trace holds (start, best
-    distance after it) for every start; k = 0 runs no start and its trace
-    is [(0, triangle distance)].  monotone=True runs the same search,
-    drops every end point that is not monotone and counts the starts
-    drawn monotone (all of them at k = 0).  The triangle is monotone, so
-    there is always a result.
+    metric's exact gradient inside _BOUNDS, and the reported distance is
+    the same kink objective's value.  trace holds (start, best distance
+    after it) for every start; k = 0 runs no start and its trace is
+    [(0, triangle distance)].  monotone=True runs the same search, keeps
+    no end point that is not monotone and counts the starts drawn
+    monotone (all of them at k = 0).  The triangle is monotone, so there
+    is always a result.
     """
     if k < 0 or k % 2 != 0:
         raise ValidationError(f"k must be even and >= 0, got {k}")
@@ -424,21 +423,15 @@ def optimise_fixed_k(
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
     if metric not in _METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
-    distance = _METRICS[metric]
-    kink_objective = _sup_with_gradient if metric == "sup" else _l2_with_gradient
-
-    def value(c: Colouring) -> float:
-        half = _half(c)
-        return distance(*half) if not monotone or _monotone_violation(*half) <= _MONOTONE_TOL else math.inf
-
-    best_c, best_d, trace, starts = _multistart(kink_objective, value, [k], n_starts, seed)
+    keep = (lambda c: _monotone_violation(*_half(c)) <= _MONOTONE_TOL) if monotone else None
+    best_c, best_d, trace, starts = _multistart(_METRICS[metric], [k], n_starts, seed, keep)
     if not trace:  # k = 0: the triangle is the whole search space, and it is monotone
         trace, starts = [(0, best_d)], [best_c] * n_starts
 
     _guard_lower_bound(best_d, metric)
     return OptimizationResult(
         as_mixture(best_c), best_d, metric, trace, "monotone" if monotone else "none",
-        feasible_starts=sum(_monotone_violation(*_half(c)) <= _MONOTONE_TOL for c in starts) if monotone else None,
+        feasible_starts=sum(map(keep, starts)) if monotone else None,
     )
 
 
@@ -482,8 +475,7 @@ def _linear_value(bm: np.ndarray, vm: np.ndarray) -> _KinkObjective:
 
 def _linear_subproblem(lin: _KinkObjective, pool_ks: list[int], seed: int, n_starts: int) -> tuple[Colouring, float]:
     """Approximately minimise lin = <rho_c, rho_m + cos> over single colourings."""
-    best_c, best_v, _, _ = _multistart(lin, lambda c: lin(*_kinks(((1.0, c),)))[0], pool_ks, n_starts, seed)
-    return best_c, best_v
+    return _multistart(lin, pool_ks, n_starts, seed)[:2]
 
 
 def optimise_mixture(

@@ -17,20 +17,11 @@ import math
 
 import numpy as np
 
-from spindisk import UniformSampler
-from spindisk.circle import TWO_PI
-
 from colour_oracle import concatenated_classical_outcomes
 
 
 def _draw(sampler, n, rng):
-    """Each run's (alpha, beta) and key index, drawn as the samplers draw them."""
-    if isinstance(sampler, UniformSampler):
-        n_bins = len(sampler.keys)
-        alphas, betas = rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, TWO_PI, n)
-        gammas = np.remainder(betas - alphas, TWO_PI)
-        idx = np.minimum((gammas * (n_bins / TWO_PI)).astype(np.intp), n_bins - 1)
-        return alphas, betas, idx
+    """Each run's (alpha, beta) and key index, drawn as the sampler draws them."""
     settings = np.array(sampler.keys)
     idx = rng.integers(len(sampler.keys), size=n)
     return settings[idx, 0], settings[idx, 1], idx

@@ -3,9 +3,10 @@
 These are the straightforward numpy forms of `correlation._dedupe_sorted`,
 `_differences`, `_kinks`, `_half_curve`, `_l2_distance`, `_sup_distance`
 and `PiecewiseLinearCorrelation._extended`, and of
-`optimize._l2_with_gradient`, `_sup_objective`, `_monotone_violation` and
-`_search_point`, written with `np.diff`, `np.append`, `np.clip`,
-`np.outer`, `np.stack` and `new_colouring`.  The library computes the
+`optimize._l2_with_gradient`, `_monotone_violation` and `_search_point`,
+and of the sup distance of the half-period arrays over the full period,
+written with `np.diff`, `np.append`, `np.clip`, `np.outer`, `np.stack`
+and `new_colouring`.  The library computes the
 same floating-point operations on the same operands with fewer numpy
 calls, so every value, breakpoint and gradient entry must equal these
 bit for bit.

@@ -9,8 +9,9 @@ sort(clip(expit(z))), so it needs no bounds.
 
 `nelder_mead_sup_fixed_k` is the sup search as `optimise_fixed_k` ran it
 before the sup metric had a gradient: the starts of `_start`, the switch
-angles themselves inside `_BOUNDS`, the value-only `_sup_objective`, and
-a simplex with xatol = 1e-9 and fatol = `_FATOL`.
+angles themselves inside `_BOUNDS`, the value-only sup distance of the
+half-period arrays over the full period, and a simplex with xatol = 1e-9
+and fatol = `_FATOL`.
 
 The tests require the gradient searches to end no farther from -cos and
 to spend far fewer objective evaluations.
@@ -25,8 +26,8 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from spindisk.circle import ANGLE_TOL, PI
-from spindisk.correlation import _l2_distance, exact_correlation, l2_distance_to_cosine
-from spindisk.optimize import _BOUNDS, _FATOL, _MAX_ITER, _half, _search_point, _start, _sup_objective
+from spindisk.correlation import _full_period, _l2_distance, _sup_distance, exact_correlation, l2_distance_to_cosine
+from spindisk.optimize import _BOUNDS, _FATOL, _MAX_ITER, _half, _search_point, _start
 
 
 def _colouring(z):
@@ -73,7 +74,7 @@ def nelder_mead_sup_fixed_k(k, n_starts=32, seed=0):
     """(best sup distance, total objective evaluations) over n_starts bounded simplex runs."""
 
     def objective(theta):
-        return _sup_objective(*_half(_search_point(theta)[0]))
+        return _sup_distance(*_full_period(*_half(_search_point(theta)[0])))
 
     options = {"xatol": 1e-9, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER}
     rng = np.random.default_rng(seed)

@@ -270,6 +270,20 @@ def test_malformed_model_file_exits_2_with_one_error_line(runner, tmp_path, cont
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["sim", "--quantum", "--grid", "abc"],
+    ["corr", "MISSING"],
+    ["optimize", "--k", "x"],
+], ids=["grid-abc", "missing-model-file", "k-x"])
+def test_unparsed_argument_exits_2_with_click_usage(runner, tmp_path, args):
+    # click rejects these before any library code runs, with its own usage message
+    result = runner.invoke(main, [str(tmp_path / "missing.json") if a == "MISSING" else a for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("Usage: ")
+    assert "Error: Invalid value for " in result.stderr
+
+
 def _traced_growth(invoke, times):
     invoke()  # first-call caches
     gc.collect()

@@ -1,7 +1,9 @@
 """Every module-level name in `src/spindisk/` is used somewhere.
 
-A function, class or constant that no code in `src/`, `bench/` or
-`tests/` references is dead API.  A reference is a loaded name, an
+A public function, class or constant that no code in `src/`, `bench/`
+or `tests/` references is dead API.  A private (underscore) name must be
+referenced from `src/` or `bench/`: a helper that only tests use is dead
+code kept alive by its tests.  A reference is a loaded name, an
 attribute or an imported name; the re-exports in `spindisk/__init__.py`
 do not count, so public API that nothing uses is caught too.  Click
 commands (reached through the group), `__all__` and `__version__` are
@@ -35,9 +37,9 @@ def is_click_command(node):
     )
 
 
-def referenced_names():
+def referenced_names(dirs):
     used = set()
-    for path in (p for d in ("src", "bench", "tests") for p in (ROOT / d).rglob("*.py")):
+    for path in (p for d in dirs for p in (ROOT / d).rglob("*.py")):
         for n in ast.walk(ast.parse(path.read_text())):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 used.add(n.id)
@@ -49,11 +51,13 @@ def referenced_names():
 
 
 def test_no_unreferenced_module_level_names():
-    used = referenced_names()
+    used = referenced_names(("src", "bench", "tests"))
+    used_by_program = referenced_names(("src", "bench"))
     dead = [
         f"{path.name}:{node.lineno} {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name, node in module_level_names(ast.parse(path.read_text()))
-        if name not in used and name not in EXEMPT and not is_click_command(node)
+        if name not in (used_by_program if name.startswith("_") else used)
+        and name not in EXEMPT and not is_click_command(node)
     ]
     assert dead == []

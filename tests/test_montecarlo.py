@@ -8,7 +8,6 @@ from spindisk import (
     CountTable,
     GridSampler,
     InvalidSampler,
-    UniformSampler,
     empirical_correlation,
     exact_correlation,
     new_colouring,
@@ -378,12 +377,6 @@ class TestRunExperiment:
             (est,), _ = empirical_correlation(table)
             assert est == pytest.approx(pl.evaluate(beta), abs=4 / math.sqrt(n))
 
-    def test_uniform_sampler_runs(self):
-        table = run_experiment(
-            model=triangle_colouring(), sampler=UniformSampler(), n_runs=50, seed=3
-        )
-        assert table.counts.sum() == 50
-
     def test_duplicate_grid_pairs_share_a_row(self):
         table = run_experiment(
             model=triangle_colouring(), sampler=GridSampler([(0.0, 1.0), (0.0, 1.0)]),
@@ -469,15 +462,13 @@ _BLOCK_CASES = {
     ),
     "mixture60": (_many_components(60), GridSampler(_GRID16)),
     "quantum": (None, GridSampler(_GRID16)),
-    "uniform_mixture3": (_MIXTURE3, UniformSampler()),
-    "uniform_quantum": (None, UniformSampler()),
 }
 
 
 class TestBlockedKernel:
     """Run counts on either side of block boundaries give the whole-array tables."""
 
-    @pytest.mark.parametrize("n_runs", [1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("n_runs", [1, B - 1, B, B + 1, 3 * B + 5], ids=["1", "B-1", "B", "B+1", "3B+5"])
     @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
     def test_matches_whole_array_oracle(self, case, n_runs):
         model, sampler = _BLOCK_CASES[case]
@@ -487,31 +478,6 @@ class TestBlockedKernel:
         assert table.pairs == sorted(ref) and table.counts.sum() == n_runs
         assert np.array_equal(table.counts, [ref[key] for key in table.pairs])
         assert recording.rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-class TestUniformSampler:
-    def test_keys_are_gamma_bins(self):
-        n = 10**5
-        table = run_experiment(
-            model=triangle_colouring(), sampler=UniformSampler(), n_runs=n, seed=3
-        )
-        assert len(table.counts) <= 360
-        assert table.counts.sum() == n
-        assert all(alpha == 0.0 and 0.0 < gamma < TWO_PI for alpha, gamma in table.pairs)
-
-    def test_bin_estimates_follow_triangle(self):
-        n_bins = 360
-        table = run_experiment(
-            model=triangle_colouring(), sampler=UniformSampler(),
-            n_runs=2 * 10**5, seed=4,
-        )
-        pl = exact_correlation(triangle_colouring())
-        max_slope = 2 / PI
-        assert len(table.counts) == n_bins
-        for (_, gamma), est, cells in zip(table.pairs, empirical_correlation(table)[0], table.counts):
-            n_bin = int(cells.sum())
-            bound = 5 / math.sqrt(n_bin) + (TWO_PI / n_bins) * max_slope
-            assert abs(est - pl.evaluate(gamma)) <= bound
 
 
 class TestEmpiricalCorrelation:

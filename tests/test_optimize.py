@@ -25,14 +25,17 @@ from spindisk import (
 import spindisk.optimize
 from spindisk.circle import as_mixture
 from spindisk.correlation import (
+    _full_period,
     _half_curve,
     _kinks,
     _l2_distance,
+    _sup_distance,
     check_invariants,
 )
 from spindisk.optimize import (
     _BOUNDS,
     _FATOL,
+    _METRICS,
     _MONOTONE_TOL,
     _half,
     _l2_with_gradient,
@@ -42,7 +45,6 @@ from spindisk.optimize import (
     _monotone_violation,
     _search_point,
     _start,
-    _sup_objective,
     _sup_with_gradient,
     _with_gradient,
 )
@@ -210,9 +212,9 @@ class TestFixedK:
         # the simplex left 5 of these 6 starts 0.03 to 0.35 above the triangle
         ends = record_lbfgsb(monkeypatch)
         optimise_fixed_k(16, metric="sup", n_starts=2, seed=seed)
-        triangle = _sup_objective(*_half(triangle_colouring()))
+        triangle = _sup_distance(*_full_period(*_half(triangle_colouring())))
         assert len(ends) == 2
-        assert all(_sup_objective(*_half(_search_point(e.x)[0])) <= triangle + 1e-9 for e in ends)
+        assert all(_sup_distance(*_full_period(*_half(_search_point(e.x)[0]))) <= triangle + 1e-9 for e in ends)
 
 
 class TestLowerBounds:
@@ -234,10 +236,10 @@ class TestLowerBounds:
 
     @pytest.mark.parametrize("metric, bound", [("L2", MIN_L2_DISTANCE), ("sup", SUP_OPTIMUM)])
     def test_distance_below_the_bound_raises(self, monkeypatch, metric, bound):
-        monkeypatch.setitem(spindisk.optimize._METRICS, metric, lambda bps, values: bound - 2e-9)
+        monkeypatch.setitem(spindisk.optimize._METRICS, metric, lambda d, w, slope0: (bound - 2e-9, 0.0 * d))
         with pytest.raises(RuntimeError, match=f"{metric} distance .* below the lower bound"):
             optimise_fixed_k(0, metric=metric)
-        monkeypatch.setitem(spindisk.optimize._METRICS, metric, lambda bps, values: bound - 5e-10)
+        monkeypatch.setitem(spindisk.optimize._METRICS, metric, lambda d, w, slope0: (bound - 5e-10, 0.0 * d))
         assert optimise_fixed_k(0, metric=metric).distance == bound - 5e-10
 
 
@@ -288,12 +290,14 @@ class TestArrayObjectives:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(colourings(16), mixtures()))
     def test_half_array_objectives_match_curve(self, model):
-        half = _half_curve(*_kinks(as_mixture(model).components))
+        # the values that searches minimise and reports read; the half-period L2 sum differs in the last bits
+        kinks = _kinks(as_mixture(model).components)
         pl = mixture_correlation(model)
         g0, g1, slope, _ = pl.pieces()
         want = np.clip(-slope[0.5 * (g0 + g1) < PI], 0.0, None).sum()
-        assert abs(_monotone_violation(*half) - want) <= 1e-12
-        assert _sup_objective(*half) == sup_distance_to_cosine(pl)
+        assert abs(_monotone_violation(*_half_curve(*kinks)) - want) <= 1e-12
+        assert _METRICS["sup"](*kinks)[0] == sup_distance_to_cosine(pl)
+        assert abs(_METRICS["L2"](*kinks)[0] - l2_distance_to_cosine(pl)) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(mixtures(), colourings(16))
@@ -374,7 +378,7 @@ class TestGradients:
         # random starts, not drawn angles: round angles such as [1, 2] put
         # unrelated kinks on the peak, where the sup distance has no gradient
         def value_only(theta):
-            return _sup_objective(*_half(_search_point(theta)[0]))
+            return _sup_distance(*_full_period(*_half(_search_point(theta)[0])))
 
         rng = np.random.default_rng(k)
         for _ in range(25):
