@@ -132,17 +132,24 @@ def mixture_to_dict(m: Mixture) -> dict:
     return {"components": [{"w": w, "theta": list(c.switches)} for w, c in m.components]}
 
 
+def _numbers(xs) -> list[float]:
+    """A JSON array of numbers as floats; float() alone would take bools and numeric strings."""
+    if not isinstance(xs, list) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in xs):
+        raise TypeError(f"expected an array of numbers, got {xs!r:.60}")
+    return [float(x) for x in xs]
+
+
 def model_from_dict(d: dict) -> Colouring | Mixture:
     """Parse either dict form; raises ValidationError on malformed input."""
     try:
         if "theta" in d:
-            return new_colouring(d["theta"])
+            return new_colouring(_numbers(d["theta"]))
         if "components" in d:
             return Mixture(tuple(
-                (float(entry["w"]), new_colouring(entry["theta"])) for entry in d["components"]
+                (_numbers([entry["w"]])[0], new_colouring(_numbers(entry["theta"]))) for entry in d["components"]
             ))
     except ValidationError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ValidationError(f"malformed model ({type(exc).__name__}: {exc})") from None
     raise ValidationError("model dict needs a 'theta' or 'components' key")

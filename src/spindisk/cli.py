@@ -3,7 +3,8 @@
 Emits machine-readable curves (CSV with '#' header comments) and JSON
 reports.  Every command is deterministic given identical flags and seed,
 and every output embeds the tool version and effective configuration.
-Files are written atomically (temp file + rename).
+Files are written atomically (temp file + rename); an existing device
+or FIFO is written in place.
 """
 from __future__ import annotations
 
@@ -79,6 +80,10 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         _echo(text, sys.stdout)
         return
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or FIFO: a replace would destroy it
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -136,13 +141,16 @@ class _Group(click.Group):
             sys.exit(2)
 
 
-def _check_seed(ctx: click.Context, param: click.Parameter, seed: int) -> int:
-    if seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {seed}")
-    return seed
+def _at_least(low: int):
+    """Option callback: ValidationError naming the flag unless its value is None or >= low."""
+    def check(ctx: click.Context, param: click.Parameter, value: int | None) -> int | None:
+        if value is not None and value < low:
+            raise ValidationError(f"{param.opts[0]} must be >= {low}, got {value}")
+        return value
+    return check
 
 
-_seed_option = click.option("--seed", default=0, show_default=True, callback=_check_seed)
+_seed_option = click.option("--seed", default=0, show_default=True, callback=_at_least(0))
 
 
 @click.group(cls=_Group)
@@ -153,30 +161,25 @@ def main() -> None:
 
 @main.command("corr")
 @click.argument("model_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--grid", default=721, show_default=True, help="Number of sample points on [0, 2*pi].")
+@click.option("--grid", default=721, show_default=True, callback=_at_least(1),
+              help="Number of sample points on [0, 2*pi].")
 @click.option("--out", default="-", show_default=True)
 def cmd_corr(model_file: str, grid: int, out: str) -> None:
     """Exact correlation curve of a model, with -cos and triangle overlays."""
-    if grid < 1:
-        raise ValidationError(f"--grid must be >= 1, got {grid}")
     pl = mixture_correlation(_load_model(model_file))
     _write_text(out, _curve_csv(_header("corr", model=model_file, grid=grid), pl, grid))
 
 
 @main.command("demo-figure")
 @click.option("--nswitch", default=4, show_default=True, help="Even switch count per panel.")
-@click.option("--panels", default=12, show_default=True)
+@click.option("--panels", default=12, show_default=True, callback=_at_least(1))
 @_seed_option
-@click.option("--grid", default=721, show_default=True)
+@click.option("--grid", default=721, show_default=True, callback=_at_least(1))
 @click.option("--outdir", default=".", show_default=True, type=click.Path(file_okay=False))
 def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str) -> None:
     """Sample random colourings and write one correlation curve per panel."""
     if nswitch < 0 or nswitch % 2 != 0:
         raise ValidationError(f"--nswitch must be even and >= 0, got {nswitch}")
-    if panels < 1:
-        raise ValidationError(f"--panels must be >= 1, got {panels}")
-    if grid < 1:
-        raise ValidationError(f"--grid must be >= 1, got {grid}")
     os.makedirs(outdir, exist_ok=True)
     rng = np.random.default_rng(seed)
     for p in range(1, panels + 1):
@@ -196,15 +199,14 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
 @click.option("--quantum", is_flag=True, help="Simulate the singlet law instead of a model.")
 @click.option("--alpha", type=float, default=None, help="Fixed setting of station A (default 0); not with --grid.")
 @click.option("--beta", type=float, default=None, help="Fixed setting of station B (default 0); not with --grid.")
-@click.option("--grid", "grid_pairs", type=int, default=None, help="Use setting pairs (0, 2*pi*j/GRID).")
-@click.option("--runs", default=1000, show_default=True)
+@click.option("--grid", "grid_pairs", type=int, default=None, callback=_at_least(1),
+              help="Use setting pairs (0, 2*pi*j/GRID).")
+@click.option("--runs", default=1000, show_default=True, callback=_at_least(1))
 @_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> None:
     """Run the experiment and write counts plus empirical correlations."""
     model = _model_or_quantum(model_file, quantum)
-    if runs < 1:
-        raise ValidationError(f"--runs must be >= 1, got {runs}")
     for name, x in (("--alpha", alpha), ("--beta", beta)):
         if x is not None and not math.isfinite(x):
             raise ValidationError(f"{name} must be finite, got {x}")
@@ -212,8 +214,6 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
         sampler = GridSampler([(alpha or 0.0, beta or 0.0)])
     elif alpha is not None or beta is not None:
         raise ValidationError("--grid cannot be combined with --alpha or --beta")
-    elif grid_pairs < 1:
-        raise ValidationError(f"--grid must be >= 1, got {grid_pairs}")
     else:
         sampler = GridSampler([(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)])
     table = run_experiment(model, sampler=sampler, n_runs=runs, seed=seed)
@@ -225,19 +225,14 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
 
 @main.command("spectrum")
 @click.argument("model_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--nmax", default=DEFAULT_N_MAX, show_default=True)
+@click.option("--nmax", default=DEFAULT_N_MAX, show_default=True, callback=_at_least(1))
 @click.option("--out", default="-", show_default=True, help="CSV spectrum destination.")
 @click.option("--report", default="-", show_default=True, help="JSON diagnostic destination.")
 def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
     """Fourier coefficients of a model plus the impossibility diagnostic."""
-    if nmax < 1:
-        raise ValidationError(f"--nmax must be >= 1, got {nmax}")
     model = _load_model(model_file)
     s = spectrum(model, nmax)
-    if s.colouring_coeffs is not None:
-        fhat = s.colouring_coeffs
-    else:
-        fhat = np.full(nmax + 1, np.nan, dtype=complex)
+    fhat = s.colouring_coeffs
     _write_text(out, _csv(_header("spectrum", model=model_file, nmax=nmax), "n,re_fhat,im_fhat,a_n",
                           [np.arange(nmax + 1), fhat.real, fhat.imag, s.cosine_coeffs]))
     _write_json(report, {
@@ -253,8 +248,9 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
 @click.option("--k", "k_value", type=int, default=None, help="Single-colouring search with this k.")
 @click.option("--pool", default=None, help="Comma-separated even k values for mixture search.")
 @click.option("--monotone", is_flag=True)
-@click.option("--starts", default=32, show_default=True)
-@click.option("--iterations", default=50, show_default=True, help="Frank-Wolfe iterations (pool mode).")
+@click.option("--starts", default=32, show_default=True, callback=_at_least(1))
+@click.option("--iterations", default=50, show_default=True, callback=_at_least(1),
+              help="Frank-Wolfe iterations (pool mode).")
 @_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out) -> None:

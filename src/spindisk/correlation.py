@@ -71,10 +71,6 @@ class PiecewiseLinearCorrelation:
 
     __call__ = sample
 
-    def evaluate(self, gamma: float) -> float:
-        """Evaluate at a single angle."""
-        return float(self.sample(gamma))
-
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-piece (g0, g1, slope, intercept) arrays covering [0, 2*pi]."""
         return _pieces(*self._extended())
@@ -235,8 +231,8 @@ def check_invariants(p: PiecewiseLinearCorrelation) -> None:
     """
     tol = 1e-12
     assert np.all(p.values <= 1.0 + tol) and np.all(p.values >= -1.0 - tol)
-    assert abs(p.evaluate(0.0) + 1.0) <= tol
-    assert abs(p.evaluate(PI) - 1.0) <= tol
+    assert abs(p.sample(0.0) + 1.0) <= tol
+    assert abs(p.sample(PI) - 1.0) <= tol
     g = np.linspace(0.0, TWO_PI, 1000, endpoint=False)
     v = p.sample(g)
     assert np.max(np.abs(v - p.sample(TWO_PI - g))) <= tol

@@ -528,11 +528,10 @@ def optimise_mixture(
         kinks_new = _kinks(((1.0, c_new),))
         lin_new = _linear_value(*_half_curve(*kinks_new))
         dd = lin_new(*kinks_new)[0] - lin_new(*kinks_m)[0] - lin(*kinks_new)[0] + lin_m
-        step = gap / dd if dd > 0 else 0.0
-        step = min(max(step, 0.0), 1.0)
-        if step <= 0.0:
+        if not dd > 0.0:  # NaN included
             trace.append((it, best_d))
             continue
+        step = min(gap / dd, 1.0)
 
         model = {c: w * (1.0 - step) for c, w in model.items()}
         model[c_new] = model.get(c_new, 0.0) + step

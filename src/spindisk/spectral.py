@@ -28,12 +28,12 @@ DEFAULT_N_MAX = 99
 class Spectrum:
     """Fourier data indexed n = 0..n_max: arrays of n_max + 1 entries.
 
-    colouring_coeffs holds complex fhat_n for a single colouring and is
-    None for proper mixtures (whose colouring transform is random); power
-    is E|fhat_n|^2 in either case.
+    colouring_coeffs holds complex fhat_n for a single colouring and
+    nan + 0j for a proper mixture (whose colouring transform is random);
+    power is E|fhat_n|^2 in either case.
     """
 
-    colouring_coeffs: np.ndarray | None
+    colouring_coeffs: np.ndarray
     power: np.ndarray
     cosine_coeffs: np.ndarray
 
@@ -87,12 +87,10 @@ def spectrum(model: Colouring | Mixture, n_max: int = DEFAULT_N_MAX) -> Spectrum
     """Spectrum of a colouring or mixture; a_n = -2 * E|fhat_n|^2."""
     mix = as_mixture(model)
     power = np.zeros(n_max + 1)
-    coeffs = None
     for w, c in mix.components:
         fhat = colouring_spectrum(c, n_max)
         power += w * np.abs(fhat) ** 2
-        if len(mix.components) == 1:
-            coeffs = fhat
+    coeffs = fhat if len(mix.components) == 1 else np.full(n_max + 1, np.nan, dtype=complex)
     return Spectrum(coeffs, power, -2.0 * power)
 
 

@@ -56,8 +56,8 @@ def test_criterion_01_certainty_relations():
             pl = exact_correlation(random_colouring(rng, int(rng.choice([0, 2, 4, 6]))))
         else:
             pl = mixture_correlation(random_mixture(rng))
-        assert abs(pl.evaluate(0.0) + 1.0) <= 1e-12
-        assert abs(pl.evaluate(PI) - 1.0) <= 1e-12
+        assert abs(pl.sample(0.0) + 1.0) <= 1e-12
+        assert abs(pl.sample(PI) - 1.0) <= 1e-12
     model = random_mixture(rng)
     alpha = rng.uniform(0, TWO_PI)
     a, b = classical_outcomes(
@@ -99,7 +99,7 @@ def test_criterion_04_montecarlo_vs_exact():
         a, b = classical_outcomes(c, np.zeros(8), betas, np.repeat(np.arange(8), n), rng)
         prods = (a * b).reshape(8, n)
         for beta, est in zip(betas, prods.mean(axis=1)):
-            assert abs(est - pl.evaluate(beta)) < tol, f"model {i}, beta={beta}"
+            assert abs(est - pl.sample(beta)) < tol, f"model {i}, beta={beta}"
     _report("4 Monte Carlo vs exact", time.time() - t0, 120)
 
 

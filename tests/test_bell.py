@@ -58,7 +58,7 @@ class TestCHSH:
     def test_degenerate_settings(self, rng):
         pl = mixture_correlation(random_mixture(rng))
         s = CHSHSettings(0.7, 0.7, 1.9, 1.9)
-        assert chsh(pl, s) == pytest.approx(2 * pl.evaluate(0.7 - 1.9), abs=1e-12)
+        assert chsh(pl, s) == pytest.approx(2 * pl.sample(0.7 - 1.9), abs=1e-12)
 
     def test_rotation_invariance(self, rng):
         pl = mixture_correlation(random_mixture(rng))
@@ -146,7 +146,7 @@ class TestChainedBellBound:
         # both components of the sup-optimal mixture read -3/5 at pi/5, the
         # m = 5 bound
         model = sup_optimal_mixture()
-        assert mixture_correlation(model).evaluate(PI / 5) == pytest.approx(-0.6, abs=1e-12)
+        assert mixture_correlation(model).sample(PI / 5) == pytest.approx(-0.6, abs=1e-12)
         n = 200_000
         table = run_experiment(model, sampler=GridSampler([(0.0, PI / 5)]), n_runs=n, seed=5)
         (est,), _ = empirical_correlation(table)

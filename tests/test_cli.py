@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -82,6 +83,20 @@ class TestCorr:
             os.umask(old)
         assert result.exit_code == 0
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_out_fifo_is_written_in_place(self, runner, model_file, tmp_path):
+        fifo = tmp_path / "curve.fifo"
+        os.mkfifo(fifo)
+        # a reader opened first, without blocking, lets corr open the write end at once
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            result = runner.invoke(main, ["corr", model_file, "--grid", "5", "--out", str(fifo)])
+            written = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert result.exit_code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert written == runner.invoke(main, ["corr", model_file, "--grid", "5"]).stdout_bytes
 
     def test_parse_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -251,6 +266,27 @@ def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, 
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(("args", "line"), [
+    (["sim", "--quantum", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["optimize", "--k", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["demo-figure", "--seed", "-1", "--outdir", "DIR"], "--seed must be >= 0, got -1"),
+    (["corr", "MODEL", "--grid", "0"], "--grid must be >= 1, got 0"),
+    (["demo-figure", "--grid", "0", "--outdir", "DIR"], "--grid must be >= 1, got 0"),
+    (["demo-figure", "--panels", "0", "--outdir", "DIR"], "--panels must be >= 1, got 0"),
+    (["sim", "--quantum", "--runs", "0"], "--runs must be >= 1, got 0"),
+    (["sim", "--quantum", "--grid", "0"], "--grid must be >= 1, got 0"),
+    (["spectrum", "MODEL", "--nmax", "0"], "--nmax must be >= 1, got 0"),
+    (["optimize", "--k", "2", "--starts", "0"], "--starts must be >= 1, got 0"),
+    (["optimize", "--pool", "0,2", "--iterations", "0"], "--iterations must be >= 1, got 0"),
+])
+def test_flag_below_its_bound_names_the_flag(runner, model_file, tmp_path, args, line):
+    placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}
+    result = runner.invoke(main, [placeholders.get(a, a) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: ValidationError: {line}\n"
+
+
 @pytest.mark.parametrize("content", [
     b'{"theta": ["x"]}',
     b'{"theta": 5}',
@@ -259,6 +295,13 @@ def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, 
     b'{"components": [{"w": NaN, "theta": []}]}',
     b"\xff\xfe",
     b"[" * 100_000 + b"]" * 100_000,
+    b'{"theta": "12"}',
+    b'{"theta": {"1": 0, "2": 0}}',
+    b'{"theta": ["1", "2"]}',
+    b'{"theta": [true, 2]}',
+    b'{"components": [{"w": "1", "theta": []}]}',
+    b'{"components": [{"w": true, "theta": []}]}',
+    pytest.param(b'{"theta": [1' + b"0" * 400 + b', 1]}', id="int-beyond-float-range"),
 ])
 def test_malformed_model_file_exits_2_with_one_error_line(runner, tmp_path, content):
     path = tmp_path / "bad.json"

@@ -72,8 +72,8 @@ class TestExactCorrelation:
     def test_certainty_relations(self, rng):
         for k in (0, 2, 4, 6, 8):
             pl = exact_correlation(random_colouring(rng, k))
-            assert pl.evaluate(0.0) == pytest.approx(-1.0, abs=1e-12)
-            assert pl.evaluate(PI) == pytest.approx(1.0, abs=1e-12)
+            assert pl.sample(0.0) == pytest.approx(-1.0, abs=1e-12)
+            assert pl.sample(PI) == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_suite(self, rng):
         for k in (0, 2, 4, 6):
@@ -110,9 +110,9 @@ class TestExactCorrelation:
 class TestEvaluate:
     def test_triangle_values(self):
         pl = exact_correlation(triangle_colouring())
-        assert pl.evaluate(PI / 2) == pytest.approx(0.0, abs=1e-15)
-        assert pl.evaluate(0.0) == -1.0
-        assert pl.evaluate(3 * PI / 2) == pytest.approx(0.0, abs=1e-15)
+        assert pl.sample(PI / 2) == pytest.approx(0.0, abs=1e-15)
+        assert pl.sample(0.0) == -1.0
+        assert pl.sample(3 * PI / 2) == pytest.approx(0.0, abs=1e-15)
         v = pl.sample(1.0)
         assert isinstance(v, float) and v == pytest.approx(2 / PI - 1.0, abs=1e-15)
 
@@ -229,14 +229,14 @@ class TestInnerProducts:
         q = exact_correlation(random_colouring(rng, 4))
         kinks = sorted(set(p.breakpoints.tolist()) | set(q.breakpoints.tolist()))
         want, _ = quad(
-            lambda g: p.evaluate(g) * q.evaluate(g), 0, TWO_PI, points=kinks, limit=300
+            lambda g: p.sample(g) * q.sample(g), 0, TWO_PI, points=kinks, limit=300
         )
         assert inner_product(p, q) == pytest.approx(want / TWO_PI, abs=1e-10)
 
     def test_cosine_inner_vs_quadrature(self, rng):
         p = exact_correlation(random_colouring(rng, 4))
         want, _ = quad(
-            lambda g: p.evaluate(g) * math.cos(g),
+            lambda g: p.sample(g) * math.cos(g),
             0,
             TWO_PI,
             points=p.breakpoints.tolist(),

@@ -375,7 +375,7 @@ class TestRunExperiment:
                 model=c, sampler=GridSampler([(0.0, beta)]), n_runs=n, seed=11
             )
             (est,), _ = empirical_correlation(table)
-            assert est == pytest.approx(pl.evaluate(beta), abs=4 / math.sqrt(n))
+            assert est == pytest.approx(pl.sample(beta), abs=4 / math.sqrt(n))
 
     def test_duplicate_grid_pairs_share_a_row(self):
         table = run_experiment(

@@ -319,10 +319,10 @@ class TestArrayObjectives:
 
             km, kc = _kinks(m.components), _kinks(((1.0, c),))
             lin_m, lin_c = table(m), table(c)
-            want = mean(lambda g: rho_c.evaluate(g) * (rho_m.evaluate(g) + math.cos(g)))
+            want = mean(lambda g: rho_c.sample(g) * (rho_m.sample(g) + math.cos(g)))
             assert lin_m(*kc)[0] == pytest.approx(want, abs=1e-10)
             dd = lin_c(*kc)[0] - lin_c(*km)[0] - lin_m(*kc)[0] + lin_m(*km)[0]
-            assert dd == pytest.approx(mean(lambda g: (rho_c.evaluate(g) - rho_m.evaluate(g)) ** 2), abs=1e-10)
+            assert dd == pytest.approx(mean(lambda g: (rho_c.sample(g) - rho_m.sample(g)) ** 2), abs=1e-10)
 
 
 def check_gradient(value_and_grad, value_only, theta, collapsed):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spindisk import (
+    Mixture,
     colouring_spectrum,
     exact_correlation,
     first_harmonic_bound_check,
@@ -88,6 +89,22 @@ class TestCorrelationSpectrum:
         for k in (0, 4, 10):
             s = spectrum(random_colouring(rng, k), 999)
             assert 2 * np.sum(s.power[1:]) == pytest.approx(1.0, abs=1e-2)
+
+
+class TestColouringCoeffs:
+    @pytest.mark.parametrize("n_max", [1, 25])
+    def test_proper_mixture_is_all_nan(self, n_max):
+        m = Mixture(((0.25, triangle_colouring()), (0.75, new_colouring([0.5, 1.0]))))
+        coeffs = spectrum(m, n_max).colouring_coeffs
+        assert coeffs.dtype == complex and coeffs.shape == (n_max + 1,)
+        assert np.all(np.isnan(coeffs))
+        # nan + 0j, which the spectrum CSV writes as re_fhat=nan, im_fhat=0
+        assert coeffs.tobytes() == np.full(n_max + 1, np.nan, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_single_colouring_is_its_transform(self, rng, k):
+        c = random_colouring(rng, k)
+        assert spectrum(c, 25).colouring_coeffs.tobytes() == colouring_spectrum(c, 25).tobytes()
 
 
 class TestGullDiagnostic:
