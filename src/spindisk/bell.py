@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .circle import TWO_PI
+from .circle import TWO_PI, ValidationError
 
 #: a' rows of the CHSH scan evaluated at once; bounds its memory to
 #: _SCAN_BLOCK * n floats per temporary.
@@ -53,8 +53,8 @@ def chsh_scan(rho, grid_step: float = math.pi / 90) -> tuple[float, CHSHSettings
     scan takes O(n^2) time and O(_SCAN_BLOCK * n) memory.  Ties resolve to
     the lexicographically smallest (a', b, b') grid indices.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if not 0 < grid_step < math.inf:  # NaN included
+        raise ValidationError("grid_step must be positive and finite")
     n = max(1, round(TWO_PI / grid_step))
     grid = np.arange(n) * (TWO_PI / n)
     r = rho(grid)

@@ -31,12 +31,7 @@ from .circle import (
     triangle_colouring,
 )
 from .correlation import PiecewiseLinearCorrelation, exact_correlation, mixture_correlation
-from .montecarlo import (
-    GridSampler,
-    InvalidSampler,
-    empirical_correlation,
-    run_experiment,
-)
+from .montecarlo import GridSampler, empirical_correlation, run_experiment
 from .optimize import InfeasibleStart, optimise_fixed_k, optimise_mixture
 from .spectral import (
     DEFAULT_N_MAX,
@@ -45,7 +40,7 @@ from .spectral import (
     spectrum,
 )
 
-_ERRORS = (ValidationError, InvalidSampler, InfeasibleStart, OSError, json.JSONDecodeError, MemoryError)
+_ERRORS = (ValidationError, InfeasibleStart, OSError, json.JSONDecodeError, MemoryError)
 
 
 def _load_model(path: str) -> Colouring | Mixture:
@@ -84,7 +79,8 @@ def _write_text(path: str | None, text: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)  # a symlink's target is replaced, not the link
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -117,13 +117,14 @@ def _kinks(components) -> tuple[np.ndarray, np.ndarray, float]:
     return np.concatenate(diffs), np.concatenate(weights), slope0
 
 
-def _half_curve(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and values of rho on [0, pi] from the output of _kinks.
+def _half_curve(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints, values and piece slopes of rho on [0, pi], and each kink's breakpoint, from the output of _kinks.
 
     Each weight goes to the last breakpoint at or below d + ANGLE_TOL, so
     near-equal differences that dedupe merged, such as a switch pair's and
     its antipodal copy's, share one breakpoint and lose no weight.
-    rho(0) = -1 and rho(pi) = +1 are exact.
+    rho(0) = -1 and rho(pi) = +1 are exact.  The slopes are summed from the
+    weights in units of 1/(2*pi), so a single colouring's are exact integers.
     """
     bps = np.concatenate(([0.0], d, [PI]))
     bps.sort()
@@ -135,7 +136,7 @@ def _half_curve(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[np.ndarray
     (slopes * (bps[1:] - bps[:-1])).cumsum(out=values[1:])
     values = np.minimum(np.maximum(values / TWO_PI - 1.0, -1.0), 1.0)
     values[-1] = 1.0
-    return bps, values
+    return bps, values, slopes, idx
 
 
 def _full_period(bps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +149,7 @@ def _full_period(bps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _kink_curve(components) -> PiecewiseLinearCorrelation:
     """rho = sum_c w_c * rho_c over (w_c, colouring) pairs, from kink weights."""
-    bps, values = _full_period(*_half_curve(*_kinks(components)))
+    bps, values = _full_period(*_half_curve(*_kinks(components))[:2])
     return PiecewiseLinearCorrelation(bps[:-1], values[:-1])
 
 
@@ -183,23 +184,19 @@ def _l2_distance(bps: np.ndarray, values: np.ndarray) -> float:
     return math.sqrt(max(d2, 0.0))
 
 
-#: Shifts that bring each arcsin root into the pieces of [0, 2*pi].
-_SHIFTS = np.array((-TWO_PI, 0.0, TWO_PI))[:, None]
-
-
 def _sup_peak(bps: np.ndarray, values: np.ndarray) -> tuple[float, int, int, float]:
     """max |rho + cos| of the continuous rho through (bps, values), exact per piece, and where it is.
 
     On each piece h(g) = a*g + b + cos g is stationary where sin g = a, so
-    the maximum is attained at a piece endpoint or such a root.  Returns
-    it, its candidate row (0, 1: endpoints; 2-7: roots), piece and sign of h.
+    the maximum is attained at a piece endpoint or such a root.  With base
+    = arcsin(a) in [-pi/2, pi/2], the roots that can lie on [0, 2*pi] are
+    base, base + 2*pi and pi - base.  Returns the maximum, its candidate
+    row (0, 1: endpoints; 2-4: roots), piece and sign of h.
     """
     g0, g1, a, b = _pieces(bps, values)
     base = np.arcsin(np.minimum(np.maximum(a, -1.0), 1.0))
     n = a.size
-    cand = np.empty((8, n))  # (candidates, pieces): the endpoints, then each root plus _SHIFTS
-    cand[0], cand[1] = g0, g1
-    np.add(np.concatenate((base, PI - base)).reshape(2, 1, n), _SHIFTS, out=cand[2:].reshape(2, 3, n))
+    cand = np.concatenate((g0, g1, base, base + TWO_PI, PI - base)).reshape(5, n)  # (candidates, pieces)
     inside = (cand >= g0) & (cand <= g1) & (np.abs(a) <= 1.0)
     inside[:2] = True  # endpoints always count
     h = a * cand + b + np.cos(cand)

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, Colouring, Mixture, as_mixture, colours, full_switch_set
+from .circle import TWO_PI, Colouring, Mixture, ValidationError, as_mixture, colours, full_switch_set
 
 
-class InvalidSampler(ValueError):
+class InvalidSampler(ValidationError):
     """Setting sampler has an empty setting set or a non-finite setting."""
 
 
@@ -219,7 +219,7 @@ def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, s
     the first listed key that got runs.  Rows follow the sorted keys.
     """
     if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+        raise ValidationError("n_runs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     alphas, betas, pair_idx = sampler.draw(n_runs, rng)
     if model is None:

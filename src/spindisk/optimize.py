@@ -7,14 +7,14 @@ L2 objective is quadratic, so each convex step is line-searched in
 closed form.
 
 The optimiser builds no curve object: objectives, reported distances,
-the monotone check and the Frank-Wolfe bookkeeping all measure a model's
-breakpoints and values on [0, pi], summed from its kink weights.  rho
-and cos are even, so the half period gives the full-period L2 distance
-(the sup distance is taken over the reflected full period).  The
-Frank-Wolfe subproblem value <rho_c, rho_m + cos> is linear in rho_c;
-twice integrated by parts it is a dot product of the colouring's kink
-weights with a piecewise-cubic table built once per mixture.  The
-Frank-Wolfe gap and step are differences of such values.
+the monotone check and the Frank-Wolfe bookkeeping all read one
+`_half_curve` pass: breakpoints, values and slopes on [0, pi] and each
+kink's breakpoint.  rho and cos are even, so the half period gives the
+full-period L2 distance (the sup distance is taken over the reflected
+full period).  The Frank-Wolfe subproblem value <rho_c, rho_m + cos> is
+linear in rho_c; twice integrated by parts it is a dot product of the
+colouring's kink weights with a piecewise-cubic table built once per
+mixture.  The Frank-Wolfe gap and step are differences of such values.
 
 Every search (fixed-k L2 and sup, and the Frank-Wolfe subproblem) runs
 L-BFGS-B on the exact gradient: each objective's derivative in the kink
@@ -36,11 +36,11 @@ One multistart loop, `_multistart`, serves fixed-k and the Frank-Wolfe
 subproblem and measures each search against the triangle wave, the
 zero-switch colouring: it is the starting best, and an end point
 replaces the best only if it is lower by more than _MIN_GAIN.  The
-monotone constraint is a filter (`keep`), not a term of the objective:
-an end point that is not monotone never replaces the best.  A search
-that finds nothing better reports the triangle itself, not a triangle
-hidden behind near-coincident or boundary-hugging switches.  A reported
-model is the best found, not a proven optimum.
+monotone constraint is a filter (`keep`) on the exact slopes, not a term
+of the objective: an end point that is not monotone never replaces the
+best.  A search that finds nothing better reports the triangle itself,
+not a triangle hidden behind near-coincident or boundary-hugging
+switches.  A reported model is the best found, not a proven optimum.
 
 The sup question is solved in closed form: no classical model comes
 closer to -cos in the sup metric than SUP_OPTIMUM = (5*sqrt(5) - 7)/20,
@@ -98,10 +98,6 @@ def sup_optimal_mixture() -> Mixture:
 
 
 _COLLAPSE_TOL = 1e-9
-
-#: A correlation whose negative slopes on (0, pi) sum to more than this is
-#: not monotone.
-_MONOTONE_TOL = 1e-12
 
 #: Function tolerance of every search (L-BFGS-B ftol, which is absolute
 #: for values below 1): some 36 ulp of a distance near 0.2, so a search
@@ -306,23 +302,17 @@ def _l2_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[floa
     cumulative integral G of rho + cos on the half grid, read at the
     breakpoint _half_curve gave each kink.
     """
-    bps, values = _half_curve(d, w, slope0)
+    bps, values, _, at = _half_curve(d, w, slope0)
     dist = _l2_distance(bps, values)
     g = np.zeros(bps.size)
     ((bps[1:] - bps[:-1]) * (values[:-1] + values[1:])).cumsum(out=g[1:])
     g = g / 2.0 + np.sin(bps)
-    at = g[bps.searchsorted(d + ANGLE_TOL, "right") - 1]
-    return dist, w * (at - g[-1]) / (TWO_PI * PI * dist)
+    return dist, w * (g[at] - g[-1]) / (TWO_PI * PI * dist)
 
 
-def _half(c: Colouring) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and values of rho_c on [0, pi], without a curve object."""
+def _half(c: Colouring) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_half_curve of rho_c: its breakpoints, values, slopes and kink breakpoints, without a curve object."""
     return _half_curve(*_kinks(((1.0, c),)))
-
-
-def _monotone_violation(bps: np.ndarray, values: np.ndarray) -> float:
-    """Sum of the negative slopes of rho on [0, pi] (0 when rho runs -1 -> +1)."""
-    return float(np.maximum(-(values[1:] - values[:-1]) / (bps[1:] - bps[:-1]), 0.0).sum())
 
 
 def _sup_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[float, np.ndarray]:
@@ -335,12 +325,12 @@ def _sup_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[flo
     s*h(g*) at _sup_peak's peak g* of |h|, h = rho + cos (read at 2*pi - g*
     past pi), so dF/dd = -s*w / (2*pi) for kinks left of g*, else 0.  The
     kinks on a corner b of h carry it: together s*(rho'(b-) - sin b), by
-    weight.  Where unrelated kinks meet at the peak, F has no gradient.
+    weight, with rho'(b-) = slopes[m - 1] / (2*pi) (b > 0: h(0) = 0).
+    Where unrelated kinks meet at the peak, F has no gradient.
     """
-    bps, values = _half_curve(d, w, slope0)
+    bps, values, slopes, at = _half_curve(d, w, slope0)
     dist, row, piece, sign = _sup_peak(*_full_period(bps, values))
     n = bps.size - 1
-    at = bps.searchsorted(d + ANGLE_TOL, "right") - 1  # each kink's breakpoint, as _half_curve assigns it
     corner = row < 2  # a piece endpoint, not a stationary root
     m = min(piece + row, 2 * n - piece - row) if corner else min(piece, 2 * n - 1 - piece)
     left = at < m if corner else at <= m
@@ -348,7 +338,7 @@ def _sup_with_gradient(d: np.ndarray, w: np.ndarray, slope0: float) -> tuple[flo
     on = at == m
     total = w[on].sum() if corner else 0.0
     if total:
-        grad[on] = sign * ((slope0 + w[left].sum()) / TWO_PI - math.sin(bps[m])) * w[on] / total
+        grad[on] = sign * (slopes[m - 1] / TWO_PI - math.sin(bps[m])) * w[on] / total
     return dist, grad
 
 
@@ -423,7 +413,7 @@ def optimise_fixed_k(
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
     if metric not in _METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
-    keep = (lambda c: _monotone_violation(*_half(c)) <= _MONOTONE_TOL) if monotone else None
+    keep = (lambda c: bool(_half(c)[2].min() >= 0.0)) if monotone else None
     best_c, best_d, trace, starts = _multistart(_METRICS[metric], [k], n_starts, seed, keep)
     if not trace:  # k = 0: the triangle is the whole search space, and it is monotone
         trace, starts = [(0, best_d)], [best_c] * n_starts
@@ -509,7 +499,7 @@ def optimise_mixture(
     model = {triangle_colouring(): 1.0}
     best_model = Mixture(((1.0, triangle_colouring()),))
     kinks_m = _kinks(best_model.components)
-    half_m = _half_curve(*kinks_m)
+    half_m = _half_curve(*kinks_m)[:2]
     lin, best_d = _linear_value(*half_m), _l2_distance(*half_m)
     trace: list[tuple[int, float]] = [(0, best_d)]
     gaps: list[float] = []
@@ -526,7 +516,7 @@ def optimise_mixture(
 
         # ||rho_new - rho_m||^2 from the tables of rho_m (lin) and rho_new (lin_new)
         kinks_new = _kinks(((1.0, c_new),))
-        lin_new = _linear_value(*_half_curve(*kinks_new))
+        lin_new = _linear_value(*_half_curve(*kinks_new)[:2])
         dd = lin_new(*kinks_new)[0] - lin_new(*kinks_m)[0] - lin(*kinks_new)[0] + lin_m
         if not dd > 0.0:  # NaN included
             trace.append((it, best_d))
@@ -543,7 +533,7 @@ def optimise_mixture(
 
         mixture = Mixture(tuple((w, c) for c, w in model.items()))
         kinks_m = _kinks(mixture.components)
-        half_m = _half_curve(*kinks_m)
+        half_m = _half_curve(*kinks_m)[:2]
         lin, d = _linear_value(*half_m), _l2_distance(*half_m)
         if d < best_d - _MIN_GAIN:
             best_d, best_model = d, mixture

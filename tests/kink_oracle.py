@@ -3,7 +3,7 @@
 These are the straightforward numpy forms of `correlation._dedupe_sorted`,
 `_differences`, `_kinks`, `_half_curve`, `_l2_distance`, `_sup_distance`
 and `PiecewiseLinearCorrelation._extended`, and of
-`optimize._l2_with_gradient`, `_monotone_violation` and `_search_point`,
+`optimize._l2_with_gradient` and `_search_point`,
 and of the sup distance of the half-period arrays over the full period,
 written with `np.diff`, `np.append`, `np.clip`, `np.outer`, `np.stack`
 and `new_colouring`.  The library computes the
@@ -50,7 +50,7 @@ def half_curve(d, w, slope0):
     slopes = slope0 + np.cumsum(kinks[:-1])
     values = np.clip(np.append(0.0, np.cumsum(slopes * np.diff(bps))) / TWO_PI - 1.0, -1.0, 1.0)
     values[-1] = 1.0
-    return bps, values
+    return bps, values, slopes, idx
 
 
 def full_period(bps, values):
@@ -94,7 +94,7 @@ def sup_distance(bps, values):
 
 
 def l2_with_gradient(d, w, slope0):
-    bps, values = half_curve(d, w, slope0)
+    bps, values = half_curve(d, w, slope0)[:2]
     dist = l2_distance(bps, values)
     g = np.append(0.0, np.cumsum(np.diff(bps) * (values[:-1] + values[1:]))) / 2.0 + np.sin(bps)
     at = g[np.searchsorted(bps, d + ANGLE_TOL, "right") - 1]
@@ -104,10 +104,6 @@ def l2_with_gradient(d, w, slope0):
 def sup_objective(bps, values):
     bps, values = full_period(bps, values)
     return sup_distance(np.append(bps, TWO_PI), np.append(values, values[0]))
-
-
-def monotone_violation(bps, values):
-    return float(np.clip(-np.diff(values) / np.diff(bps), 0.0, None).sum())
 
 
 def search_point(theta):

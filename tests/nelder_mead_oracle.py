@@ -48,7 +48,7 @@ def nelder_mead_fixed_k(k, n_starts=32, seed=0, tol=1e-9, max_iter=2000):
     """(best L2 distance, total objective evaluations) over n_starts simplex runs."""
 
     def objective(z):
-        return _l2_distance(*_half(_colouring(z)))
+        return _l2_distance(*_half(_colouring(z))[:2])
 
     rng = np.random.default_rng(seed)
     best_d, nfev = math.inf, 0
@@ -74,7 +74,7 @@ def nelder_mead_sup_fixed_k(k, n_starts=32, seed=0):
     """(best sup distance, total objective evaluations) over n_starts bounded simplex runs."""
 
     def objective(theta):
-        return _sup_distance(*_full_period(*_half(_search_point(theta)[0])))
+        return _sup_distance(*_full_period(*_half(_search_point(theta)[0])[:2]))
 
     options = {"xatol": 1e-9, "fatol": _FATOL, "maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER}
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ from spindisk import (
     CHSHSettings,
     GridSampler,
     LatticeColouring,
+    ValidationError,
     chsh,
     chsh_scan,
     empirical_correlation,
@@ -93,6 +94,12 @@ class TestCHSHScan:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             chsh_scan(quantum_correlation, 0.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_step_not_positive_and_finite_is_a_validation_error(self, step):
+        # NaN used to fail inside round() and inf to run a one-point scan
+        with pytest.raises(ValidationError, match="grid_step"):
+            chsh_scan(quantum_correlation, step)
 
     @settings(max_examples=150, deadline=None)
     @given(CURVES, SCAN_STEPS)

@@ -98,6 +98,24 @@ class TestCorr:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert written == runner.invoke(main, ["corr", model_file, "--grid", "5"]).stdout_bytes
 
+    def test_out_symlink_replaces_its_target(self, runner, model_file, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        result = runner.invoke(main, ["corr", model_file, "--grid", "5", "--out", str(link)])
+        assert result.exit_code == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == runner.invoke(main, ["corr", model_file, "--grid", "5"]).stdout_bytes
+
+    def test_out_dangling_symlink_creates_its_target(self, runner, model_file, tmp_path):
+        target, link = tmp_path / "sub" / "target.csv", tmp_path / "link.csv"
+        target.parent.mkdir()
+        link.symlink_to(target)
+        result = runner.invoke(main, ["corr", model_file, "--grid", "5", "--out", str(link)])
+        assert result.exit_code == 0
+        assert link.is_symlink() and target.is_file()
+        assert target.read_bytes() == runner.invoke(main, ["corr", model_file, "--grid", "5"]).stdout_bytes
+
     def test_parse_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -14,7 +14,7 @@ from spindisk import (
     run_experiment,
     triangle_colouring,
 )
-from spindisk.circle import ANGLE_TOL, WEIGHT_TOL, Mixture, as_mixture, colours, full_switch_set
+from spindisk.circle import ANGLE_TOL, WEIGHT_TOL, Mixture, ValidationError, as_mixture, colours, full_switch_set
 from spindisk.montecarlo import (
     _BINS_PER_SWITCH, _RUN_BLOCK, _bin_table, classical_outcomes, quantum_outcomes,
 )
@@ -406,6 +406,12 @@ class TestRunExperiment:
         with pytest.raises(TypeError):
             run_experiment(sampler=GridSampler([(0, 0)]), n_runs=10, seed=0)
         with pytest.raises(ValueError):
+            run_experiment(None, sampler=GridSampler([(0, 0)]), n_runs=0, seed=0)
+
+    def test_input_errors_are_validation_errors(self):
+        with pytest.raises(ValidationError, match="empty"):
+            GridSampler([])
+        with pytest.raises(ValidationError, match="n_runs"):
             run_experiment(None, sampler=GridSampler([(0, 0)]), n_runs=0, seed=0)
 
     def test_empty_grid_sampler(self):

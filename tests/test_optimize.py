@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 from scipy.integrate import quad
 from scipy.special import expit
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spindisk import (
     MIN_L2_DISTANCE,
@@ -36,13 +36,11 @@ from spindisk.optimize import (
     _BOUNDS,
     _FATOL,
     _METRICS,
-    _MONOTONE_TOL,
     _half,
     _l2_with_gradient,
     _lbfgsb,
     _linear_value,
     _logistic,
-    _monotone_violation,
     _search_point,
     _start,
     _sup_with_gradient,
@@ -59,14 +57,31 @@ D_TRIANGLE = math.sqrt(5 / 6 - 8 / PI**2)
 
 
 def is_monotone(model):
-    """rho of a colouring or mixture is non-decreasing on (0, pi)."""
-    half = _half_curve(*_kinks(as_mixture(model).components))
-    return _monotone_violation(*half) <= _MONOTONE_TOL
+    """rho of a colouring or mixture is non-decreasing on (0, pi): its public piece slopes there are >= -1e-12."""
+    g0, g1, slope, _ = mixture_correlation(model).pieces()
+    return bool(slope[0.5 * (g0 + g1) < PI].min() >= -1e-12)
+
+
+def square_wave(j):
+    """S_(2j+1), switching at i*pi/(2j + 1): the triangle's rho at (2j + 1)*gamma, not monotone."""
+    m = 2 * j + 1
+    return new_colouring([i * PI / m for i in range(1, m)])
+
+
+@st.composite
+def near_pairs(draw):
+    """Colourings with k <= 16 holding a switch pair 2e-12 to 1e-6 apart."""
+    x = draw(st.floats(1e-3, PI - 1e-3))
+    gap = math.exp(draw(st.floats(math.log(2e-12), math.log(1e-6))))
+    try:
+        return new_colouring([*draw(colourings(14)).switches, x, x + gap])
+    except ValidationError:
+        assume(False)
 
 
 def table(model):
     """The Frank-Wolfe table <rho_c, rho_model + cos> of a colouring or mixture."""
-    return _linear_value(*_half_curve(*_kinks(as_mixture(model).components)))
+    return _linear_value(*_half_curve(*_kinks(as_mixture(model).components))[:2])
 
 
 def record_lbfgsb(monkeypatch):
@@ -212,9 +227,9 @@ class TestFixedK:
         # the simplex left 5 of these 6 starts 0.03 to 0.35 above the triangle
         ends = record_lbfgsb(monkeypatch)
         optimise_fixed_k(16, metric="sup", n_starts=2, seed=seed)
-        triangle = _sup_distance(*_full_period(*_half(triangle_colouring())))
+        triangle = _sup_distance(*_full_period(*_half(triangle_colouring())[:2]))
         assert len(ends) == 2
-        assert all(_sup_distance(*_full_period(*_half(_search_point(e.x)[0]))) <= triangle + 1e-9 for e in ends)
+        assert all(_sup_distance(*_full_period(*_half(_search_point(e.x)[0])[:2])) <= triangle + 1e-9 for e in ends)
 
 
 class TestLowerBounds:
@@ -276,6 +291,16 @@ class TestMonotone:
             mono = optimise_fixed_k(k, metric=metric, n_starts=4, seed=seed, monotone=True)
             assert (mono.best_model, mono.distance, mono.trace) == (free.best_model, free.distance, free.trace)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(colourings(16), st.integers(1, 17).map(square_wave), near_pairs()))
+    @example(new_colouring([0.3, 2.8]))
+    @example(new_colouring([1.0, 1.0 + 2e-12]))
+    def test_exact_filter_matches_the_curve_slopes(self, c):
+        # the filter reads _half_curve's slopes: exact integers in units of 1/(2*pi), tested without a tolerance
+        slopes = _half(c)[2]
+        assert np.array_equal(slopes, slopes.round())
+        assert bool(slopes.min() >= 0.0) == is_monotone(c)
+
     def test_wide_k2_colourings_usually_oscillate(self, rng):
         # a large switch gap forces slope sign changes on (0, pi)
         from spindisk import new_colouring
@@ -293,9 +318,6 @@ class TestArrayObjectives:
         # the values that searches minimise and reports read; the half-period L2 sum differs in the last bits
         kinks = _kinks(as_mixture(model).components)
         pl = mixture_correlation(model)
-        g0, g1, slope, _ = pl.pieces()
-        want = np.clip(-slope[0.5 * (g0 + g1) < PI], 0.0, None).sum()
-        assert abs(_monotone_violation(*_half_curve(*kinks)) - want) <= 1e-12
         assert _METRICS["sup"](*kinks)[0] == sup_distance_to_cosine(pl)
         assert abs(_METRICS["L2"](*kinks)[0] - l2_distance_to_cosine(pl)) <= 1e-12
 
@@ -358,7 +380,7 @@ class TestGradients:
     @example(COLLAPSED_START)
     def test_l2_gradient(self, point):
         def value_only(theta):
-            return _l2_distance(*_half(_search_point(theta)[0]))
+            return _l2_distance(*_half(_search_point(theta)[0])[:2])
 
         check_gradient(_with_gradient(_l2_with_gradient), value_only, *point)
 
@@ -378,7 +400,7 @@ class TestGradients:
         # random starts, not drawn angles: round angles such as [1, 2] put
         # unrelated kinks on the peak, where the sup distance has no gradient
         def value_only(theta):
-            return _sup_distance(*_full_period(*_half(_search_point(theta)[0])))
+            return _sup_distance(*_full_period(*_half(_search_point(theta)[0])[:2]))
 
         rng = np.random.default_rng(k)
         for _ in range(25):
