@@ -71,8 +71,12 @@ def _echo(text: str, stream) -> None:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Atomic write with open()'s file mode, not mkstemp's 0600; '-' or None goes to stdout."""
-    if path is None or path == "-":
+    """Atomic write with open()'s file mode, not mkstemp's 0600; '-', None or stdout's own file goes to stdout."""
+    try:  # `--out /dev/stdout >> log` appends to log through stdout; a replace would drop its earlier lines
+        to_stdout = path in (None, "-") or os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file, or a stream without a descriptor (CliRunner)
+        to_stdout = False
+    if to_stdout:
         _echo(text, sys.stdout)
         return
     if os.path.exists(path) and not os.path.isfile(path):  # a device or FIFO: a replace would destroy it

@@ -49,31 +49,25 @@ def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PiecewiseLinearCorrelation:
-    """rho(gamma) as linear interpolation between breakpoints on [0, 2*pi).
+    """rho(gamma) as linear interpolation between breakpoints on the closed period [0, 2*pi].
 
-    breakpoints[0] is always 0; the function wraps periodically, so the
-    last piece runs from breakpoints[-1] back to the value at 0.
+    breakpoints run from 0 to 2*pi and values[-1] == values[0]; the
+    function wraps periodically.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
 
-    def _extended(self) -> tuple[np.ndarray, np.ndarray]:
-        bp = np.concatenate((self.breakpoints, [TWO_PI]))
-        val = np.concatenate((self.values, self.values[:1]))
-        return bp, val
-
     def sample(self, gammas) -> np.ndarray | float:
         """Evaluate at an array of angles, or at one angle as a float (mod 2*pi)."""
         g = np.remainder(np.asarray(gammas, dtype=float), TWO_PI)
-        bp, val = self._extended()
-        return np.interp(g, bp, val)
+        return np.interp(g, self.breakpoints, self.values)
 
     __call__ = sample
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-piece (g0, g1, slope, intercept) arrays covering [0, 2*pi]."""
-        return _pieces(*self._extended())
+        return _pieces(self.breakpoints, self.values)
 
 
 def _pieces(bps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -149,8 +143,7 @@ def _full_period(bps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _kink_curve(components) -> PiecewiseLinearCorrelation:
     """rho = sum_c w_c * rho_c over (w_c, colouring) pairs, from kink weights."""
-    bps, values = _full_period(*_half_curve(*_kinks(components))[:2])
-    return PiecewiseLinearCorrelation(bps[:-1], values[:-1])
+    return PiecewiseLinearCorrelation(*_full_period(*_half_curve(*_kinks(components))[:2]))
 
 
 def exact_correlation(c: Colouring) -> PiecewiseLinearCorrelation:
@@ -212,12 +205,12 @@ def _sup_distance(bps: np.ndarray, values: np.ndarray) -> float:
 
 def l2_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:
     """L2 distance D with D^2 = (1/2*pi) * integral of (rho + cos)^2."""
-    return _l2_distance(*p._extended())
+    return _l2_distance(p.breakpoints, p.values)
 
 
 def sup_distance_to_cosine(p: PiecewiseLinearCorrelation) -> float:
     """max over gamma of |rho(gamma) + cos(gamma)|, exact per piece."""
-    return _sup_distance(*p._extended())
+    return _sup_distance(p.breakpoints, p.values)
 
 
 def check_invariants(p: PiecewiseLinearCorrelation) -> None:

@@ -8,11 +8,12 @@ Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
 
 A sampler lists its setting pairs as table keys and draws each run's
 index into that list.  The random arrays are drawn whole (the
-sampler's, the rotation u, the component pick), then the per-run work
-(settings read by index, component and colour lookup, outcome cell and
-one `np.bincount` over (index, cell)) goes in blocks of `_RUN_BLOCK`
-runs.  The result is a `CountTable`: the sorted keys that got runs and
-one (rows, 4) count array, from which `empirical_correlation` reads the
+sampler's, the rotation u, the component pick), then the classical
+per-run work (settings read by index, component and colour lookup) and
+the count (outcome cell, one `np.bincount` over (index, cell)) go in
+blocks of `_RUN_BLOCK` runs; the singlet law runs on whole arrays.
+The result is a `CountTable`: the sorted keys that got runs and one
+(rows, 4) count array, from which `empirical_correlation` reads the
 estimate and standard error columns.
 
 Both lookups of a classical run, its mixture component and its colour,
@@ -203,10 +204,7 @@ def quantum_outcomes(
     a = rng.choice(np.array([1, -1], np.int8), size=n)
     equal = rng.random(n)
     p_equal = 0.5 * (1.0 - np.cos(alphas - betas))
-    b = np.empty_like(a)
-    for s in _blocks(n):
-        b[s] = np.where(equal[s] < p_equal[pair_idx[s]], a[s], -a[s])
-    return a, b
+    return a, np.where(equal < p_equal[pair_idx], a, -a)
 
 
 def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, seed: int = 0) -> CountTable:

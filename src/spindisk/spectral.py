@@ -29,8 +29,8 @@ class Spectrum:
     """Fourier data indexed n = 0..n_max: arrays of n_max + 1 entries.
 
     colouring_coeffs holds complex fhat_n for a single colouring and
-    nan + 0j for a proper mixture (whose colouring transform is random);
-    power is E|fhat_n|^2 in either case.
+    complex(nan, nan) for a proper mixture, whose colouring transform is
+    random; power is E|fhat_n|^2 in either case.
     """
 
     colouring_coeffs: np.ndarray
@@ -90,7 +90,7 @@ def spectrum(model: Colouring | Mixture, n_max: int = DEFAULT_N_MAX) -> Spectrum
     for w, c in mix.components:
         fhat = colouring_spectrum(c, n_max)
         power += w * np.abs(fhat) ** 2
-    coeffs = fhat if len(mix.components) == 1 else np.full(n_max + 1, np.nan, dtype=complex)
+    coeffs = fhat if len(mix.components) == 1 else np.full(n_max + 1, complex(np.nan, np.nan))
     return Spectrum(coeffs, power, -2.0 * power)
 
 

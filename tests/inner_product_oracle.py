@@ -14,7 +14,7 @@ from spindisk.correlation import PiecewiseLinearCorrelation, _dedupe_sorted, _pi
 
 def inner_product(p: PiecewiseLinearCorrelation, q: PiecewiseLinearCorrelation) -> float:
     """(1/2*pi) * integral of p*q over one period, exact per linear piece of the merged grid."""
-    bp = np.append(_dedupe_sorted(np.sort(np.concatenate([p.breakpoints, q.breakpoints]))), TWO_PI)
+    bp = _dedupe_sorted(np.sort(np.concatenate([p.breakpoints, q.breakpoints])))
     g0, g1, a1, b1 = _pieces(bp, p.sample(bp))
     a2, b2 = _pieces(bp, q.sample(bp))[2:]
     dg = g1 - g0

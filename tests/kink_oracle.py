@@ -1,8 +1,8 @@
 """Reference oracle for the per-evaluation kernels: the bodies they replaced.
 
 These are the straightforward numpy forms of `correlation._dedupe_sorted`,
-`_differences`, `_kinks`, `_half_curve`, `_l2_distance`, `_sup_distance`
-and `PiecewiseLinearCorrelation._extended`, and of
+`_differences`, `_kinks`, `_half_curve`, `_l2_distance` and
+`_sup_distance`, and of
 `optimize._l2_with_gradient` and `_search_point`,
 and of the sup distance of the half-period arrays over the full period,
 written with `np.diff`, `np.append`, `np.clip`, `np.outer`, `np.stack`
@@ -58,10 +58,6 @@ def full_period(bps, values):
         np.concatenate((bps, TWO_PI - bps[-2:0:-1])),
         np.concatenate((values, values[-2:0:-1])),
     )
-
-
-def extended(p):
-    return np.append(p.breakpoints, TWO_PI), np.append(p.values, p.values[0])
 
 
 def l2_distance(bps, values):

@@ -37,7 +37,7 @@ def overlap_correlation(c) -> PiecewiseLinearCorrelation:
         m += np.clip(hi - lo, 0.0, None).sum(axis=0)
 
     values = np.clip(m / PI - 1.0, -1.0, 1.0)
-    return PiecewiseLinearCorrelation(bps, values)
+    return PiecewiseLinearCorrelation(np.append(bps, TWO_PI), np.append(values, values[0]))
 
 
 def overlap_mixture_correlation(model) -> PiecewiseLinearCorrelation:

@@ -32,7 +32,7 @@ SPECTRUM_DIGESTS = {  # (CSV, JSON report)
         "9dcac013a0a383693ff2f6e672160687e279b62947cfa56dc98a25cb3e411a3b",
     ),
     "mixture": (
-        "8696ec959d6926dc32e53c09a429fcecf1e0ec9d90211638c83610e29dc338e5",
+        "87da86bebf446dafbc77fc760d9af997437714b279989fc786d8d8f5a04beec6",
         "21e6b15c7549dc141fe60954ebd76690be14493a6f0286186199c4f75f5d7ea4",
     ),
 }

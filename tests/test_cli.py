@@ -116,6 +116,16 @@ class TestCorr:
         assert link.is_symlink() and target.is_file()
         assert target.read_bytes() == runner.invoke(main, ["corr", model_file, "--grid", "5"]).stdout_bytes
 
+    def test_out_dev_stdout_appends_to_a_redirected_file(self, model_file, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spindisk.__file__))}
+        args = [sys.executable, "-m", "spindisk.cli", "corr", model_file, "--grid", "5", "--out"]
+        log = tmp_path / "log.txt"
+        log.write_text("first\n")
+        with open(log, "a") as fh:  # stdout as after `>> log.txt`
+            subprocess.run([*args, "/dev/stdout"], stdout=fh, env=env, check=True)
+        want = subprocess.run([*args, "-"], capture_output=True, env=env, check=True).stdout
+        assert log.read_bytes() == b"first\n" + want
+
     def test_parse_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

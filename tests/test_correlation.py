@@ -123,6 +123,17 @@ class TestEvaluate:
         assert np.all(v >= -1.0 - 1e-12) and np.all(v <= 1.0 + 1e-12)
 
 
+class TestClosedPeriod:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(colourings(16), mixtures()))
+    def test_curve_holds_the_closed_period(self, model):
+        p = mixture_correlation(model)
+        assert p.breakpoints[0] == 0.0 and p.breakpoints[-1] == TWO_PI
+        assert np.all(p.breakpoints[1:] > p.breakpoints[:-1])
+        assert p.values[-1] == p.values[0]
+        assert p.sample(p.breakpoints).tobytes() == p.values.tobytes()
+
+
 class TestMixtureCorrelation:
     def test_single_component_identity(self):
         c = new_colouring([0.5, 1.0, 1.5, 2.0])
@@ -168,7 +179,7 @@ class TestL2Distance:
         assert l2_distance_to_cosine(pl) == pytest.approx(math.sqrt(5 / 6 - 8 / PI**2), abs=1e-12)
 
     def test_distance_to_self_is_small(self):
-        g = np.linspace(0, TWO_PI, 2000, endpoint=False)
+        g = np.linspace(0, TWO_PI, 2001)
         pl = PiecewiseLinearCorrelation(g, -np.cos(g))
         assert l2_distance_to_cosine(pl) < 1e-5
 
@@ -207,7 +218,7 @@ class TestSupDistance:
         assert got == pytest.approx(0.2105, abs=5e-4)
 
     def test_distance_to_self_is_small(self):
-        g = np.linspace(0, TWO_PI, 2000, endpoint=False)
+        g = np.linspace(0, TWO_PI, 2001)
         pl = PiecewiseLinearCorrelation(g, -np.cos(g))
         assert sup_distance_to_cosine(pl) < 1e-5
 
