@@ -23,8 +23,6 @@ from .correlation import (
 )
 from .montecarlo import (
     CountTable,
-    GridSampler,
-    InvalidSampler,
     empirical_correlation,
     run_experiment,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "mixture_correlation",
     "sup_distance_to_cosine",
     "CountTable",
-    "GridSampler",
-    "InvalidSampler",
     "empirical_correlation",
     "run_experiment",
     "FIRST_HARMONIC_COEFF_BOUND",

@@ -31,7 +31,7 @@ from .circle import (
     triangle_colouring,
 )
 from .correlation import PiecewiseLinearCorrelation, exact_correlation, mixture_correlation
-from .montecarlo import GridSampler, empirical_correlation, run_experiment
+from .montecarlo import empirical_correlation, run_experiment
 from .optimize import InfeasibleStart, optimise_fixed_k, optimise_mixture
 from .spectral import (
     DEFAULT_N_MAX,
@@ -141,16 +141,18 @@ class _Group(click.Group):
             sys.exit(2)
 
 
-def _at_least(low: int):
-    """Option callback: ValidationError naming the flag unless its value is None or >= low."""
+def _bounded(low: float = -math.inf, high: float = sys.maxsize):
+    """Option callback: ValidationError naming the flag unless its value is None or in [low, high]."""
     def check(ctx: click.Context, param: click.Parameter, value: int | None) -> int | None:
         if value is not None and value < low:
             raise ValidationError(f"{param.opts[0]} must be >= {low}, got {value}")
+        if value is not None and value > high:
+            raise ValidationError(f"{param.opts[0]} must be <= {high}, got {value}")
         return value
     return check
 
 
-_seed_option = click.option("--seed", default=0, show_default=True, callback=_at_least(0))
+_seed_option = click.option("--seed", default=0, show_default=True, callback=_bounded(0, math.inf))
 
 
 @click.group(cls=_Group)
@@ -161,7 +163,7 @@ def main() -> None:
 
 @main.command("corr")
 @click.argument("model_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--grid", default=721, show_default=True, callback=_at_least(1),
+@click.option("--grid", default=721, show_default=True, callback=_bounded(1),
               help="Number of sample points on [0, 2*pi].")
 @click.option("--out", default="-", show_default=True)
 def cmd_corr(model_file: str, grid: int, out: str) -> None:
@@ -171,10 +173,10 @@ def cmd_corr(model_file: str, grid: int, out: str) -> None:
 
 
 @main.command("demo-figure")
-@click.option("--nswitch", default=4, show_default=True, help="Even switch count per panel.")
-@click.option("--panels", default=12, show_default=True, callback=_at_least(1))
+@click.option("--nswitch", default=4, show_default=True, callback=_bounded(), help="Even switch count per panel.")
+@click.option("--panels", default=12, show_default=True, callback=_bounded(1))
 @_seed_option
-@click.option("--grid", default=721, show_default=True, callback=_at_least(1))
+@click.option("--grid", default=721, show_default=True, callback=_bounded(1))
 @click.option("--outdir", default=".", show_default=True, type=click.Path(file_okay=False))
 def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str) -> None:
     """Sample random colourings and write one correlation curve per panel."""
@@ -199,9 +201,9 @@ def cmd_demo_figure(nswitch: int, panels: int, seed: int, grid: int, outdir: str
 @click.option("--quantum", is_flag=True, help="Simulate the singlet law instead of a model.")
 @click.option("--alpha", type=float, default=None, help="Fixed setting of station A (default 0); not with --grid.")
 @click.option("--beta", type=float, default=None, help="Fixed setting of station B (default 0); not with --grid.")
-@click.option("--grid", "grid_pairs", type=int, default=None, callback=_at_least(1),
+@click.option("--grid", "grid_pairs", type=int, default=None, callback=_bounded(1),
               help="Use setting pairs (0, 2*pi*j/GRID).")
-@click.option("--runs", default=1000, show_default=True, callback=_at_least(1))
+@click.option("--runs", default=1000, show_default=True, callback=_bounded(1))
 @_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> None:
@@ -211,12 +213,12 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
         if x is not None and not math.isfinite(x):
             raise ValidationError(f"{name} must be finite, got {x}")
     if grid_pairs is None:
-        sampler = GridSampler([(alpha or 0.0, beta or 0.0)])
+        pairs = [(alpha or 0.0, beta or 0.0)]
     elif alpha is not None or beta is not None:
         raise ValidationError("--grid cannot be combined with --alpha or --beta")
     else:
-        sampler = GridSampler([(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)])
-    table = run_experiment(model, sampler=sampler, n_runs=runs, seed=seed)
+        pairs = [(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)]
+    table = run_experiment(model, pairs, n_runs=runs, seed=seed)
     header = _header("sim", model=model_file or "quantum", runs=runs, seed=seed,
                      alpha=alpha, beta=beta, grid=grid_pairs)
     columns = [*np.array(table.pairs).T, *table.counts.T, *empirical_correlation(table)]
@@ -225,7 +227,7 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
 
 @main.command("spectrum")
 @click.argument("model_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--nmax", default=DEFAULT_N_MAX, show_default=True, callback=_at_least(1))
+@click.option("--nmax", default=DEFAULT_N_MAX, show_default=True, callback=_bounded(1))
 @click.option("--out", default="-", show_default=True, help="CSV spectrum destination.")
 @click.option("--report", default="-", show_default=True, help="JSON diagnostic destination.")
 def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
@@ -245,11 +247,12 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
 
 @main.command("optimize")
 @click.option("--metric", type=click.Choice(["L2", "sup"]), default="L2", show_default=True)
-@click.option("--k", "k_value", type=int, default=None, help="Single-colouring search with this k.")
+@click.option("--k", "k_value", type=int, default=None, callback=_bounded(),
+              help="Single-colouring search with this k.")
 @click.option("--pool", default=None, help="Comma-separated even k values for mixture search.")
 @click.option("--monotone", is_flag=True)
-@click.option("--starts", default=32, show_default=True, callback=_at_least(1))
-@click.option("--iterations", default=50, show_default=True, callback=_at_least(1),
+@click.option("--starts", default=32, show_default=True, callback=_bounded(1))
+@click.option("--iterations", default=50, show_default=True, callback=_bounded(1),
               help="Frank-Wolfe iterations (pool mode).")
 @_seed_option
 @click.option("--out", default="-", show_default=True)
@@ -289,6 +292,8 @@ def cmd_chsh(model_file, quantum, scan_step, out) -> None:
     model = _model_or_quantum(model_file, quantum)
     if not 0 < scan_step < math.inf:
         raise ValidationError(f"--scan-step must be positive and finite, got {scan_step}")
+    if TWO_PI / scan_step > sys.maxsize:  # the scan grid has 2*pi/scan_step points
+        raise ValidationError(f"--scan-step must be >= 2*pi/{sys.maxsize}, got {scan_step}")
     rho = quantum_correlation if model is None else mixture_correlation(model)
     max_abs_s, settings = chsh_scan(rho, scan_step)
     _write_json(out, {

@@ -6,15 +6,14 @@ each outcome depends only on the shared (component, rotation) pair and the
 local setting.  The quantum simulator samples the four-cell joint law
 Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
 
-A sampler lists its setting pairs as table keys and draws each run's
-index into that list.  The random arrays are drawn whole (the
-sampler's, the rotation u, the component pick), then the classical
-per-run work (settings read by index, component and colour lookup) and
-the count (outcome cell, one `np.bincount` over (index, cell)) go in
-blocks of `_RUN_BLOCK` runs; the singlet law runs on whole arrays.
-The result is a `CountTable`: the sorted keys that got runs and one
-(rows, 4) count array, from which `empirical_correlation` reads the
-estimate and standard error columns.
+Each run draws the index of its setting pair in the caller's list.  The
+random arrays are drawn whole (that index, the rotation u, the component
+pick), then the classical per-run work (settings read by index,
+component and colour lookup) and the count (outcome cell, one
+`np.bincount` over (index, cell)) go in blocks of `_RUN_BLOCK` runs; the
+singlet law runs on whole arrays.  The result is a `CountTable`: the
+sorted pairs that got runs and one (rows, 4) count array, from which
+`empirical_correlation` reads the estimate and standard error columns.
 
 Both lookups of a classical run, its mixture component and its colour,
 gather from a table of uniform bins (`_bin_table`, the indexed search of
@@ -39,10 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import TWO_PI, Colouring, Mixture, ValidationError, as_mixture, colours, full_switch_set
-
-
-class InvalidSampler(ValidationError):
-    """Setting sampler has an empty setting set or a non-finite setting."""
 
 
 @dataclass(frozen=True)
@@ -75,25 +70,6 @@ def _wrap(d: np.ndarray) -> np.ndarray:
 def _blocks(n: int) -> list[slice]:
     """Consecutive slices of at most _RUN_BLOCK runs that cover range(n)."""
     return [slice(i, i + _RUN_BLOCK) for i in range(0, n, _RUN_BLOCK)]
-
-
-# A sampler has `keys`, the list of (alpha, beta) setting pairs, and
-# `draw(n, rng) -> (alphas, betas, idx)`: run i uses the settings
-# (alphas[idx[i]], betas[idx[i]]) and is counted under keys[idx[i]].
-
-class GridSampler:
-    """Settings drawn uniformly from a finite list of pairs; one pair fixes them."""
-
-    def __init__(self, pairs: list[tuple[float, float]]):
-        if not pairs:
-            raise InvalidSampler("setting grid is empty")
-        self.keys = [(float(a), float(b)) for a, b in pairs]
-        if not np.isfinite(self.keys).all():
-            raise InvalidSampler("setting grid holds a non-finite setting")
-        self._alphas, self._betas = np.array(self.keys).T.copy()
-
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        return self._alphas, self._betas, rng.integers(len(self.keys), size=n)
 
 
 def _bin_table(points: np.ndarray, scale: float, n_bins: int, values: np.ndarray, mark: float) -> np.ndarray:
@@ -203,37 +179,44 @@ def quantum_outcomes(
     n = pair_idx.size
     a = rng.choice(np.array([1, -1], np.int8), size=n)
     equal = rng.random(n)
-    p_equal = 0.5 * (1.0 - np.cos(alphas - betas))
+    # reduced first: alpha - beta of two finite settings can overflow to inf
+    p_equal = 0.5 * (1.0 - np.cos(np.remainder(alphas, TWO_PI) - np.remainder(betas, TWO_PI)))
     return a, np.where(equal < p_equal[pair_idx], a, -a)
 
 
-def run_experiment(model: Mixture | Colouring | None, *, sampler, n_runs: int, seed: int = 0) -> CountTable:
-    """Run independent trials and aggregate outcome counts per setting pair.
+def run_experiment(
+    model: Mixture | Colouring | None, pairs: list[tuple[float, float]], *, n_runs: int, seed: int = 0
+) -> CountTable:
+    """Run independent trials at setting pairs drawn uniformly from `pairs`; counts per pair.
 
     model=None samples the quantum singlet law instead of a classical
     model.  Deterministic given seed: the stream is the first child of
-    SeedSequence(seed).  A key with no runs gets no table row.  Keys
+    SeedSequence(seed).  A pair with no runs gets no table row.  Pairs
     listed twice (equal under ==, as 0.0 and -0.0 are) share one row, under
-    the first listed key that got runs.  Rows follow the sorted keys.
+    the first listed pair that got runs.  Rows follow the sorted pairs.
     """
+    keys = [(float(a), float(b)) for a, b in pairs]
+    if not keys or not np.isfinite(keys).all():
+        raise ValidationError("setting pairs must be non-empty and finite")
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
+    alphas, betas = np.array(keys).T.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    alphas, betas, pair_idx = sampler.draw(n_runs, rng)
+    pair_idx = rng.integers(len(keys), size=n_runs)
     if model is None:
         a, b = quantum_outcomes(alphas, betas, pair_idx, rng)
     else:
         a, b = classical_outcomes(model, alphas, betas, pair_idx, rng)
-    counts = np.zeros((len(sampler.keys), 4), np.int64)
+    counts = np.zeros((len(keys), 4), np.int64)
     for s in _blocks(n_runs):
         cells = (a[s] < 0) * 2 + (b[s] < 0)  # 0:++ 1:+- 2:-+ 3:--
         counts += np.bincount(pair_idx[s] * 4 + cells, minlength=counts.size).reshape(-1, 4)
     rows = {}
-    for key, cells in zip(sampler.keys, counts):
+    for key, cells in zip(keys, counts):
         if cells.any():
             rows[key] = rows.get(key, 0) + cells
-    pairs = sorted(rows)
-    return CountTable(pairs, np.array([rows[key] for key in pairs]))
+    order = sorted(rows)
+    return CountTable(order, np.array([rows[key] for key in order]))
 
 
 def empirical_correlation(table: CountTable) -> tuple[np.ndarray, np.ndarray]:

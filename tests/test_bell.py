@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from spindisk import (
     CHSHSettings,
-    GridSampler,
     LatticeColouring,
     ValidationError,
     chsh,
@@ -155,6 +154,6 @@ class TestChainedBellBound:
         model = sup_optimal_mixture()
         assert mixture_correlation(model).sample(PI / 5) == pytest.approx(-0.6, abs=1e-12)
         n = 200_000
-        table = run_experiment(model, sampler=GridSampler([(0.0, PI / 5)]), n_runs=n, seed=5)
+        table = run_experiment(model, [(0.0, PI / 5)], n_runs=n, seed=5)
         (est,), _ = empirical_correlation(table)
         assert abs(est + 0.6) <= 4 * math.sqrt((1 - 0.36) / n)

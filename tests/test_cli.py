@@ -203,6 +203,11 @@ class TestSim:
         result = runner.invoke(main, ["sim", "--runs", "10"])
         assert result.exit_code == 2
 
+    def test_seed_past_maxsize_is_accepted(self, runner):
+        # a seed is not a size: SeedSequence takes any non-negative int
+        result = runner.invoke(main, ["sim", "--quantum", "--runs", "5", "--seed", str(10**20)])
+        assert result.exit_code == 0, result.output
+
 
 class TestSpectrum:
     def test_triangle_a1(self, runner, triangle_file, tmp_path):
@@ -284,6 +289,13 @@ class TestChsh:
     # both arrays exceed a 47-bit address space, so their allocation fails at once
     ["chsh", "--quantum", "--scan-step", "1e-15"],
     ["corr", "MODEL", "--grid", "10000000000000000"],
+    # sizes past numpy's index limit, sys.maxsize
+    ["corr", "MODEL", "--grid", "100000000000000000000"],
+    ["spectrum", "MODEL", "--nmax", "100000000000000000000"],
+    ["sim", "--quantum", "--runs", "100000000000000000000"],
+    ["demo-figure", "--nswitch", "100000000000000000000", "--outdir", "DIR"],
+    ["optimize", "--k", "100000000000000000000", "--starts", "1"],
+    ["chsh", "--quantum", "--scan-step", "1e-300"],
 ])
 def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
     placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}

@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from spindisk import (
     CountTable,
-    GridSampler,
-    InvalidSampler,
     empirical_correlation,
     exact_correlation,
     new_colouring,
@@ -21,7 +19,7 @@ from spindisk.montecarlo import (
 
 from colour_oracle import concatenated_classical_outcomes, masked_classical_outcomes
 from conftest import mixtures, random_colouring, random_mixture
-from experiment_oracle import per_key_correlation, whole_array_run_experiment
+from experiment_oracle import _quantum_outcomes, per_key_correlation, whole_array_run_experiment
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -326,26 +324,33 @@ class TestQuantumRun:
         a, b = quantum_outcomes(*_at(0.0, PI / 4, n), rng)
         assert np.mean(a * b) == pytest.approx(-math.cos(PI / 4), abs=4 / math.sqrt(n))
 
+    @pytest.mark.parametrize("n", [0, 1, 3 * B + 5])
+    def test_matches_per_run_oracle_and_its_generator_state(self, n):
+        alphas, betas = np.array([0.0, 1.0, 5.5, -0.5]), np.array([0.3, 0.0, 7.0, 1e308])
+        pair_idx = np.random.default_rng(n).integers(4, size=n)
+        rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+        a, b = quantum_outcomes(alphas, betas, pair_idx, rng)
+        ref_a, ref_b = _quantum_outcomes(alphas[pair_idx], betas[pair_idx], oracle_rng)
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
 
 class TestRunExperiment:
     def test_classical_certainty_counts(self):
-        table = run_experiment(
-            model=triangle_colouring(), sampler=GridSampler([(0.0, 0.0)]),
-            n_runs=1000, seed=7,
-        )
+        table = run_experiment(model=triangle_colouring(), pairs=[(0.0, 0.0)], n_runs=1000, seed=7)
         cells = table.counts[0]
         assert cells[0] == 0 and cells[3] == 0
         assert cells.sum() == 1000
 
     def test_quantum_certainty_counts(self):
-        table = run_experiment(None, sampler=GridSampler([(0.0, 0.0)]), n_runs=1000, seed=7)
+        table = run_experiment(None, [(0.0, 0.0)], n_runs=1000, seed=7)
         cells = table.counts[0]
         assert cells[0] == 0 and cells[3] == 0
 
     def test_seed_determinism(self):
         kwargs = dict(
             model=new_colouring([0.5, 1.0]),
-            sampler=GridSampler([(0.0, 0.5), (0.0, 1.5)]),
+            pairs=[(0.0, 0.5), (0.0, 1.5)],
             n_runs=5000,
             seed=42,
         )
@@ -357,7 +362,7 @@ class TestRunExperiment:
     def test_sharded_determinism_and_totals(self):
         kwargs = dict(
             model=triangle_colouring(),
-            sampler=GridSampler([(0.3, 1.1)]),
+            pairs=[(0.3, 1.1)],
             n_runs=9001,
             seed=5,
         )
@@ -371,79 +376,68 @@ class TestRunExperiment:
         pl = exact_correlation(c)
         n = 10**5
         for beta in (0.4, 1.2, 2.5):
-            table = run_experiment(
-                model=c, sampler=GridSampler([(0.0, beta)]), n_runs=n, seed=11
-            )
+            table = run_experiment(model=c, pairs=[(0.0, beta)], n_runs=n, seed=11)
             (est,), _ = empirical_correlation(table)
             assert est == pytest.approx(pl.sample(beta), abs=4 / math.sqrt(n))
 
     def test_duplicate_grid_pairs_share_a_row(self):
-        table = run_experiment(
-            model=triangle_colouring(), sampler=GridSampler([(0.0, 1.0), (0.0, 1.0)]),
-            n_runs=500, seed=1,
-        )
+        table = run_experiment(triangle_colouring(), [(0.0, 1.0), (0.0, 1.0)], n_runs=500, seed=1)
         assert table.pairs == [(0.0, 1.0)] and table.counts.sum() == 500
 
     def test_unsorted_grid_with_duplicates_gives_sorted_merged_rows(self):
         keys = [(0.5, 1.0), (0.0, 2.0), (0.5, 1.0), (-0.0, 2.0), (0.0, 1.0)]
         kwargs = dict(model=new_colouring([0.5, 1.0]), n_runs=5000, seed=2)
-        table = run_experiment(sampler=GridSampler(keys), **kwargs)
-        listed = run_experiment(sampler=_Relabelled(GridSampler(keys)), **kwargs).counts
-        assert len(listed) == 5
+        table = run_experiment(pairs=keys, **kwargs)
         assert table.pairs == sorted(set(keys)) == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0)]
         assert math.copysign(1.0, table.pairs[1][0]) == 1.0  # listed before -0.0
-        assert np.array_equal(table.counts, [listed[4], listed[1] + listed[3], listed[0] + listed[2]])
+        assert_oracle_table(table, whole_array_run_experiment(pairs=keys, **kwargs))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicate_key_row_takes_first_listing_with_runs(self, seed):
-        sampler = GridSampler([(-0.0, 2.0), (0.0, 2.0)])
-        kwargs = dict(model=triangle_colouring(), n_runs=1, seed=seed)
-        ((alpha, _),) = run_experiment(sampler=sampler, **kwargs).pairs
-        ((listing, _),) = run_experiment(sampler=_Relabelled(sampler), **kwargs).pairs
-        assert math.copysign(1.0, alpha) == (-1.0 if listing == 0 else 1.0)
+        kwargs = dict(model=triangle_colouring(), pairs=[(-0.0, 2.0), (0.0, 2.0)], n_runs=1, seed=seed)
+        assert_oracle_table(run_experiment(**kwargs), whole_array_run_experiment(**kwargs))
+
+    def test_duplicate_key_rows_name_both_listings_across_seeds(self):
+        kwargs = dict(model=triangle_colouring(), pairs=[(-0.0, 2.0), (0.0, 2.0)], n_runs=1)
+        signs = {math.copysign(1.0, run_experiment(seed=seed, **kwargs).pairs[0][0]) for seed in range(4)}
+        assert signs == {-1.0, 1.0}
 
     def test_bad_arguments(self):
         with pytest.raises(TypeError):
-            run_experiment(sampler=GridSampler([(0, 0)]), n_runs=10, seed=0)
+            run_experiment(pairs=[(0, 0)], n_runs=10, seed=0)
+        with pytest.raises(TypeError):
+            run_experiment(None, n_runs=10, seed=0)
         with pytest.raises(ValueError):
-            run_experiment(None, sampler=GridSampler([(0, 0)]), n_runs=0, seed=0)
+            run_experiment(None, [(0, 0)], n_runs=0, seed=0)
 
     def test_input_errors_are_validation_errors(self):
         with pytest.raises(ValidationError, match="empty"):
-            GridSampler([])
+            run_experiment(None, [], n_runs=10, seed=0)
         with pytest.raises(ValidationError, match="n_runs"):
-            run_experiment(None, sampler=GridSampler([(0, 0)]), n_runs=0, seed=0)
-
-    def test_empty_grid_sampler(self):
-        with pytest.raises(InvalidSampler):
-            GridSampler([])
+            run_experiment(None, [(0, 0)], n_runs=0, seed=0)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_settings_rejected(self, x):
         # the colour lookup has no colour for them
-        with pytest.raises(InvalidSampler, match="finite"):
-            GridSampler([(x, 0.0)])
-        with pytest.raises(InvalidSampler, match="finite"):
-            GridSampler([(0.0, 1.0), (0.0, x)])
+        with pytest.raises(ValidationError, match="finite"):
+            run_experiment(triangle_colouring(), [(x, 0.0)], n_runs=10)
+        with pytest.raises(ValidationError, match="finite"):
+            run_experiment(None, [(0.0, 1.0), (0.0, x)], n_runs=10)
+
+    def test_quantum_settings_whose_difference_overflows(self):
+        # 1e308 - (-1e308) is inf; each setting is reduced mod 2*pi first
+        n = 100_000
+        table = run_experiment(None, [(1e308, -1e308)], n_runs=n, seed=3)
+        (est,), _ = empirical_correlation(table)
+        want = -math.cos(np.remainder(1e308, TWO_PI) - np.remainder(-1e308, TWO_PI))
+        assert abs(est - want) <= 4 * math.sqrt((1 - want * want) / n)
 
 
-class _Recording:
-    """A sampler that keeps the generator `run_experiment` hands it."""
-
-    def __init__(self, sampler):
-        self.keys, self._sampler = sampler.keys, sampler
-
-    def draw(self, n, rng):
-        self.rng = rng
-        return self._sampler.draw(n, rng)
-
-
-class _Relabelled:
-    """A sampler whose j-th listed key is (j, 0.0), so each listing gets its own row."""
-
-    def __init__(self, sampler):
-        self.keys = [(float(j), 0.0) for j in range(len(sampler.keys))]
-        self.draw = sampler.draw
+def assert_oracle_table(table, ref):
+    """table holds the oracle's rows, sorted, each named as the oracle names it (the sign of -0.0 too)."""
+    pairs = sorted(ref)
+    assert np.array(table.pairs).tobytes() == np.array(pairs, float).tobytes()
+    assert np.array_equal(table.counts, [ref[key] for key in pairs])
 
 
 def _many_components(n):
@@ -461,13 +455,11 @@ _MIXTURE3 = Mixture((
 ))
 _GRID16 = [(0.0, TWO_PI * j / 16) for j in range(16)]
 _BLOCK_CASES = {
-    "colouring": (new_colouring([0.5, 1.0, 1.5, 2.0]), GridSampler(_GRID16)),
-    "mixture3": (_MIXTURE3, GridSampler(_GRID16)),
-    "mixture3_outside": (
-        _MIXTURE3, GridSampler([(-0.5, 7.0), (0.3, 1.1), (TWO_PI, -TWO_PI), (0.0, 0.0)])
-    ),
-    "mixture60": (_many_components(60), GridSampler(_GRID16)),
-    "quantum": (None, GridSampler(_GRID16)),
+    "colouring": (new_colouring([0.5, 1.0, 1.5, 2.0]), _GRID16),
+    "mixture3": (_MIXTURE3, _GRID16),
+    "mixture3_outside": (_MIXTURE3, [(-0.5, 7.0), (0.3, 1.1), (TWO_PI, -TWO_PI), (0.0, 0.0)]),
+    "mixture60": (_many_components(60), _GRID16),
+    "quantum": (None, _GRID16),
 }
 
 
@@ -477,13 +469,10 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("n_runs", [1, B - 1, B, B + 1, 3 * B + 5], ids=["1", "B-1", "B", "B+1", "3B+5"])
     @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
     def test_matches_whole_array_oracle(self, case, n_runs):
-        model, sampler = _BLOCK_CASES[case]
-        recording = _Recording(sampler)
-        table = run_experiment(model, sampler=recording, n_runs=n_runs, seed=n_runs)
-        ref, ref_rng = whole_array_run_experiment(model, sampler, n_runs, seed=n_runs)
-        assert table.pairs == sorted(ref) and table.counts.sum() == n_runs
-        assert np.array_equal(table.counts, [ref[key] for key in table.pairs])
-        assert recording.rng.bit_generator.state == ref_rng.bit_generator.state
+        model, pairs = _BLOCK_CASES[case]
+        table = run_experiment(model, pairs, n_runs=n_runs, seed=n_runs)
+        assert table.counts.sum() == n_runs
+        assert_oracle_table(table, whole_array_run_experiment(model, pairs, n_runs, seed=n_runs))
 
 
 class TestEmpiricalCorrelation:

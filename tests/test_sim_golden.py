@@ -12,7 +12,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from spindisk import GridSampler, Mixture, new_colouring, run_experiment
+from spindisk import Mixture, new_colouring, run_experiment
 from spindisk.cli import main
 
 PI = math.pi
@@ -83,8 +83,8 @@ def test_sharded_table_digest():
     model = Mixture(tuple(
         (c["w"], new_colouring(c["theta"])) for c in MIXTURE["components"]
     ))
-    sampler = GridSampler([(0.0, 2 * PI * j / 8) for j in range(8)] + [(0.0, 0.0)])
-    table = run_experiment(model=model, sampler=sampler, n_runs=10_001, seed=9)
+    pairs = [(0.0, 2 * PI * j / 8) for j in range(8)] + [(0.0, 0.0)]
+    table = run_experiment(model, pairs, n_runs=10_001, seed=9)
     rows = [[*pair, *cells] for pair, cells in zip(table.pairs, table.counts.tolist())]
     assert table.counts.sum() == 10_001
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SHARDED_DIGEST
