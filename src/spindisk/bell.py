@@ -35,11 +35,9 @@ def quantum_correlation(gamma):
 
 def chsh(rho, s: CHSHSettings) -> float:
     """Evaluate the CHSH combination; rho maps an array of angles to correlations."""
-    gammas = np.remainder(
-        np.array([s.a - s.b, s.a - s.b_prime, s.a_prime - s.b, s.a_prime - s.b_prime]),
-        TWO_PI,
-    )
-    r = rho(gammas)
+    # each setting reduced first: the difference of two finite settings can overflow
+    a, a_prime, b, b_prime = np.remainder([s.a, s.a_prime, s.b, s.b_prime], TWO_PI)
+    r = rho(np.remainder(np.array([a - b, a - b_prime, a_prime - b, a_prime - b_prime]), TWO_PI))
     return float(r[0] - r[1] + r[2] + r[3])
 
 

@@ -42,6 +42,10 @@ from .spectral import (
 
 _ERRORS = (ValidationError, InfeasibleStart, OSError, json.JSONDecodeError, MemoryError)
 
+#: The cap of every size flag: the largest element count whose complex128
+#: array numpy can size (its byte count must not pass sys.maxsize).
+_MAX_SIZE = sys.maxsize // 16
+
 
 def _load_model(path: str) -> Colouring | Mixture:
     with open(path) as fh:
@@ -141,7 +145,7 @@ class _Group(click.Group):
             sys.exit(2)
 
 
-def _bounded(low: float = -math.inf, high: float = sys.maxsize):
+def _bounded(low: float = -math.inf, high: float = _MAX_SIZE):
     """Option callback: ValidationError naming the flag unless its value is None or in [low, high]."""
     def check(ctx: click.Context, param: click.Parameter, value: int | None) -> int | None:
         if value is not None and value < low:
@@ -267,6 +271,8 @@ def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out)
             pool_ks = [int(x) for x in pool.split(",") if x.strip() != ""]
         except ValueError:
             raise ValidationError(f"--pool must be comma-separated integers, got {pool!r}") from None
+        if any(k > _MAX_SIZE for k in pool_ks):
+            raise ValidationError(f"--pool entries must be <= {_MAX_SIZE}, got {pool!r}")
         result = optimise_mixture(
             pool_ks, metric=metric, n_iterations=iterations, seed=seed,
             subproblem_starts=starts,
@@ -292,8 +298,8 @@ def cmd_chsh(model_file, quantum, scan_step, out) -> None:
     model = _model_or_quantum(model_file, quantum)
     if not 0 < scan_step < math.inf:
         raise ValidationError(f"--scan-step must be positive and finite, got {scan_step}")
-    if TWO_PI / scan_step > sys.maxsize:  # the scan grid has 2*pi/scan_step points
-        raise ValidationError(f"--scan-step must be >= 2*pi/{sys.maxsize}, got {scan_step}")
+    if TWO_PI / scan_step > _MAX_SIZE:  # the scan grid has 2*pi/scan_step points
+        raise ValidationError(f"--scan-step must be >= 2*pi/{_MAX_SIZE}, got {scan_step}")
     rho = quantum_correlation if model is None else mixture_correlation(model)
     max_abs_s, settings = chsh_scan(rho, scan_step)
     _write_json(out, {

@@ -24,9 +24,8 @@ that land in a bin holding a point fall back to `searchsorted`.  The
 component table stores the component's shift 2*pi*c over choice's cdf.
 The colour table spans the components' switch sets laid end to end, and
 its fallback queries are kept and read in one `searchsorted` per station
-after the blocks.  Settings in [0, 2*pi) are wrapped by adding 2*pi to a
-negative difference, bit for bit the `np.remainder` it replaces; other
-settings take the plain `np.remainder`, then the same table.
+after the blocks.  Both simulators reduce each setting mod 2*pi before
+subtracting.
 
 All randomness flows from one child of numpy's SeedSequence(seed), so
 results are reproducible per seed.
@@ -55,16 +54,6 @@ _RUN_BLOCK = 8192
 #: query lands in a bin that holds a point, and takes `searchsorted`, about
 #: once in this many.
 _BINS_PER_SWITCH = 64
-
-
-def _wrap(d: np.ndarray) -> np.ndarray:
-    """np.remainder(d, 2*pi) in place and bit for bit, for d in [-2*pi, 2*pi).
-
-    fmod is exact on that range, so np.remainder returns d itself or the
-    same rounded d + 2*pi, and a zero as +0.0, as d + 0.0 does.
-    """
-    d += (d < 0) * TWO_PI
-    return d
 
 
 def _blocks(n: int) -> list[slice]:
@@ -97,19 +86,19 @@ def classical_outcomes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical runs at settings (alphas, betas)[pair_idx]; (a, b) int8 arrays of +-1.
 
-    Component c's full switch set is shifted by 2*pi*c and the shifted sets
-    are concatenated into one sorted array S, in which a run of component c
-    looks up q = remainder(x - u, 2*pi) + 2*pi*c; `circle.colours` reads
-    its colour from the parity of the number of switches <= q.  Every full
-    switch set has even length, so the parity of the global count is that
-    of the local one.  Adding
-    2*pi*c rounds to the spacing of floats near 2*pi*n for n components,
-    so an angle within about ulp(2*pi*n) of one of a component's 2k+2
-    switches (the one at 0 read as 2*pi too) can land on the wrong side of
-    it and flip its colour.  That happens with probability about
-    2*(2k+2)*ulp(2*pi*n)/(2*pi) per run, k the largest switch count: ~4e-14
-    for n = 4, k = 16 and ~1e-11 for n = 1000.  A single colouring is not
-    shifted.
+    Each setting x is reduced mod 2*pi once.  Component c's full switch set
+    is shifted by 2*pi*c and the shifted sets are concatenated into one
+    sorted array S, in which a run of component c looks up
+    q = remainder(x - u, 2*pi) + 2*pi*c; `circle.colours` reads its colour
+    from the parity of the number of switches <= q.  Every full switch set
+    has even length, so the parity of the global count is that of the
+    local one.  Adding 2*pi*c rounds to the spacing of floats near 2*pi*n
+    for n components, so an angle within about ulp(2*pi*n) of one of a
+    component's 2k+2 switches (the one at 0 read as 2*pi too) can land on
+    the wrong side of it and flip its colour.  That happens with
+    probability about 2*(2k+2)*ulp(2*pi*n)/(2*pi) per run, k the largest
+    switch count: ~4e-14 for n = 4, k = 16 and ~1e-11 for n = 1000.  A
+    single colouring is not shifted.
 
     Two `_bin_table`s stand in for `searchsorted`.  The component is drawn
     as `rng.choice(n_comp, n, p=weights)` draws it: one `random` per run,
@@ -123,9 +112,12 @@ def classical_outcomes(
     their positions, and each station reads them with one
     `circle.colours` over S after the blocks.  The colours are thus
     exactly those of one `searchsorted` over S, the switch at 0 read as
-    2*pi at a boundary between components included.  A station whose
-    settings are not all in [0, 2*pi) is reduced by `np.remainder` instead
-    of `_wrap`, which holds only on that range; both land in [0, 2*pi].
+    2*pi at a boundary between components included.
+
+    Resolving them inside their block instead measured slower: with no
+    kept array left above the per-run arrays when a call ends, glibc's
+    malloc can trim the heap, and each 200k-run call then takes ~1300
+    more page faults (`sim` -17% in 4 of 6 runs on a 2-vCPU VM).
     """
     mix = as_mixture(model)
     n_comp = len(mix.components)
@@ -146,7 +138,7 @@ def classical_outcomes(
     # the colour after 0, 1, 2, ... switches; 0 marks a bin that holds one
     table = _bin_table(switches, scale, n_bins, np.resize(np.int8([-1, 1]), switches.size + 1), 0)
 
-    in_range = [x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < TWO_PI for x in (alphas, betas)]
+    alphas, betas = np.remainder(alphas, TWO_PI), np.remainder(betas, TWO_PI)
     a, b = np.empty(n, np.int8), np.empty(n, np.int8)
     # per station: positions and queries of the lookups that met a marked bin
     late_pos = ([np.empty(0, np.intp)], [np.empty(0, np.intp)])
@@ -158,9 +150,9 @@ def classical_outcomes(
             shift = shifts[(p * m).astype(np.intp)]
             lost = np.flatnonzero(shift < 0.0)
             shift[lost] = TWO_PI * cdf.searchsorted(p[lost], side="right")
-        for x, wrap, out, pos, qs in zip((alphas, betas), in_range, (a, b), late_pos, late_q):
+        for x, out, pos, qs in zip((alphas, betas), (a, b), late_pos, late_q):
             q = x[pair_idx[s]] - u[s]
-            q = _wrap(q) if wrap else np.remainder(q, TWO_PI)
+            q += (q < 0) * TWO_PI  # remainder(q, 2*pi) bit for bit below 2*pi: fmod is exact there
             q += shift
             col = table[(q * scale).astype(np.intp)]
             marked = np.flatnonzero(col == 0)

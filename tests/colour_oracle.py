@@ -7,9 +7,10 @@ u, then the component index.  For the same rng state they give the same
 - `masked_classical_outcomes` is the original lookup: one boolean mask per
   component and that component's own switch set.  It may differ from the
   library within ulp(2*pi*n) of a shifted switch (see `classical_outcomes`).
-- `concatenated_classical_outcomes` is one `np.remainder` and one
-  `searchsorted` over the components' switch sets laid end to end.  The
-  bin-table lookup must match it bit for bit.
+- `concatenated_classical_outcomes` reduces each setting mod 2*pi, then
+  takes one `np.remainder` and one `searchsorted` over the components'
+  switch sets laid end to end.  The bin-table lookup must match it bit for
+  bit.
 
 `segments` walks a colouring's constant-colour arcs, the oracle of
 `circle.colours`, and `segment_spectrum` is the per-arc body that
@@ -84,7 +85,7 @@ def concatenated_classical_outcomes(model, alphas, betas, rng):
     ])
 
     def colours(x):
-        idx = np.searchsorted(switches, np.remainder(x - u, TWO_PI) + shift, side="right") - 1
+        idx = np.searchsorted(switches, np.remainder(np.remainder(x, TWO_PI) - u, TWO_PI) + shift, side="right") - 1
         return 1 - 2 * (idx & 1)
 
     return colours(alphas), -colours(betas)

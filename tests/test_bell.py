@@ -69,6 +69,14 @@ class TestCHSH:
             )
             assert chsh(pl, rotated) == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("rho", [exact_correlation(triangle_colouring()), quantum_correlation],
+                             ids=["triangle", "cos"])
+    def test_settings_whose_differences_overflow(self, rho):
+        # 1e308 - (-1e308) is inf; each setting is reduced mod 2*pi first
+        raw = [1e308, 0.0, -1e308, 1.0]
+        reduced = np.remainder(raw, 2 * PI).tolist()
+        assert chsh(rho, CHSHSettings(*raw)) == chsh(rho, CHSHSettings(*reduced))
+
 
 class TestCHSHScan:
     def test_triangle_reaches_two(self):

@@ -296,6 +296,14 @@ class TestChsh:
     ["demo-figure", "--nswitch", "100000000000000000000", "--outdir", "DIR"],
     ["optimize", "--k", "100000000000000000000", "--starts", "1"],
     ["chsh", "--quantum", "--scan-step", "1e-300"],
+    # sizes within sys.maxsize whose complex128 array passes numpy's byte limit
+    ["corr", "MODEL", "--grid", "2000000000000000000"],
+    ["spectrum", "MODEL", "--nmax", "2000000000000000000"],
+    ["sim", "--quantum", "--runs", "2000000000000000000"],
+    ["optimize", "--k", "2000000000000000000", "--starts", "1"],
+    ["demo-figure", "--nswitch", "2000000000000000000", "--outdir", "DIR"],
+    ["chsh", "--quantum", "--scan-step", "3.14e-18"],
+    ["optimize", "--pool", "0,100000000000000000000", "--starts", "1", "--iterations", "1"],
 ])
 def test_invalid_flag_exits_2_with_one_error_line(runner, model_file, tmp_path, args):
     placeholders = {"MODEL": model_file, "DIR": str(tmp_path / "panels")}

@@ -8,6 +8,7 @@ from spindisk import (
     CountTable,
     empirical_correlation,
     exact_correlation,
+    mixture_correlation,
     new_colouring,
     run_experiment,
     triangle_colouring,
@@ -54,6 +55,23 @@ class TestClassicalRun:
         model = random_mixture(rng)
         a, _ = classical_outcomes(model, *_at(1.3, 0.2, n), rng)
         assert abs(np.mean(a)) < 4 / math.sqrt(n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mixtures(max_k=8), st.integers(0, 2**32 - 1))
+    def test_raw_settings_give_the_outcomes_of_reduced_ones(self, model, seed):
+        data = np.random.default_rng(seed)
+        x = data.choice([-1.0, 1.0], (2, 40)) * 10.0 ** data.uniform(-3.0, 308.0, (2, 40))
+        x[:, :4] = [[TWO_PI, 7.0, -0.0, 1e17], [-TWO_PI, -7.0, 1e15, -1e308]]
+        # a setting just below a multiple of 2*pi reduces to 2*pi, and that again to 0
+        alphas, betas = x[:, (np.remainder(x, TWO_PI) < TWO_PI).all(axis=0)]
+        pair_idx = data.integers(alphas.size, size=B + 5)
+        rng, reduced_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, b = classical_outcomes(model, alphas, betas, pair_idx, rng)
+        a_ref, b_ref = classical_outcomes(
+            model, np.remainder(alphas, TWO_PI), np.remainder(betas, TWO_PI), pair_idx, reduced_rng
+        )
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        assert rng.bit_generator.state == reduced_rng.bit_generator.state
 
 
 class TestColourLookup:
@@ -160,7 +178,7 @@ class TestBinTableLookup:
         # switches exactly at some queries, one ulp either side, and on bin edges
         candidates = [[_half_turn(e) for e in edges[c]] for c in range(n_comp)]
         for x in (alphas, betas):
-            r = np.remainder(x - u, TWO_PI)
+            r = np.remainder(np.remainder(x, TWO_PI) - u, TWO_PI)
             for i in data.permutation(n_runs)[: 2 * n_comp]:
                 candidates[comp[i]][:0] = _nudged(_half_turn(r[i]))
         for c in range(n_comp):
@@ -423,6 +441,15 @@ class TestRunExperiment:
             run_experiment(triangle_colouring(), [(x, 0.0)], n_runs=10)
         with pytest.raises(ValidationError, match="finite"):
             run_experiment(None, [(0.0, 1.0), (0.0, x)], n_runs=10)
+
+    def test_classical_settings_far_from_zero(self):
+        # at |alpha| >= 1e15, alpha - u loses u to rounding; each setting is reduced mod 2*pi first
+        model, n = new_colouring([0.5, 1.0]), 100_000
+        pl = mixture_correlation(model)
+        for alpha in (1e15, 1e17):
+            (est,), _ = empirical_correlation(run_experiment(model, [(alpha, 0.0)], n_runs=n, seed=3))
+            want = float(pl.sample(np.remainder(alpha, TWO_PI)))
+            assert abs(est - want) <= 4 * math.sqrt((1 - want * want) / n)
 
     def test_quantum_settings_whose_difference_overflows(self):
         # 1e308 - (-1e308) is inf; each setting is reduced mod 2*pi first
