@@ -221,7 +221,7 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
     elif alpha is not None or beta is not None:
         raise ValidationError("--grid cannot be combined with --alpha or --beta")
     else:
-        pairs = [(0.0, TWO_PI * j / grid_pairs) for j in range(grid_pairs)]
+        pairs = [(0.0, beta) for beta in (TWO_PI * np.arange(grid_pairs) / grid_pairs).tolist()]
     table = run_experiment(model, pairs, n_runs=runs, seed=seed)
     header = _header("sim", model=model_file or "quantum", runs=runs, seed=seed,
                      alpha=alpha, beta=beta, grid=grid_pairs)

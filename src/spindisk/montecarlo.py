@@ -5,27 +5,26 @@ uniform rotation u and reads off a = colour(alpha - u), b = -colour(beta - u):
 each outcome depends only on the shared (component, rotation) pair and the
 local setting.  The quantum simulator samples the four-cell joint law
 Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
+Both reduce each setting mod 2*pi before subtracting and return one int8
+cell per run (0:++ 1:+- 2:-+ 3:--); `run_experiment` counts them with one
+`np.bincount` per block of `_RUN_BLOCK` runs into a `CountTable`.
 
-Each run draws the index of its setting pair in the caller's list.  The
-random arrays are drawn whole (that index, the rotation u, the component
-pick), then the classical per-run work (settings read by index,
-component and colour lookup) and the count (outcome cell, one
-`np.bincount` over (index, cell)) go in blocks of `_RUN_BLOCK` runs; the
-singlet law runs on whole arrays.  The result is a `CountTable`: the
-sorted pairs that got runs and one (rows, 4) count array, from which
-`empirical_correlation` reads the estimate and standard error columns.
+Each run's pair index is one whole draw (int32 when the pair count fits:
+the same values).  The classical rotations u = 2*pi * `random()` (bit for
+bit `uniform(0, 2*pi)`) and component picks are drawn per block, the picks
+from a copy of the PCG64 bit generator `advance`d past the n rotations:
+the caller's generator ends where whole-array draws leave it, and the only
+whole-run arrays are the pair index and the cells.
 
-Both lookups of a classical run, its mixture component and its colour,
-gather from a table of uniform bins (`_bin_table`, the indexed search of
-Chen & Asau 1974 and Devroye 1986, sec. III.2.4), bit for bit the
-`searchsorted` each replaces.  A bin that holds no point stores the
-answer, so a lookup is one multiply and one gather; only the queries
-that land in a bin holding a point fall back to `searchsorted`.  The
-component table stores the component's shift 2*pi*c over choice's cdf.
-The colour table spans the components' switch sets laid end to end, and
-its fallback queries are kept and read in one `searchsorted` per station
-after the blocks.  Both simulators reduce each setting mod 2*pi before
-subtracting.
+Lookups gather from tables of uniform bins (the indexed search of Chen &
+Asau 1974 and Devroye 1986, sec. III.2.4): a bin that holds no point stores
+the answer, and a query in a marked bin takes the exact rule of
+`classical_outcomes` inside its block.  For a fixed pair and component a
+run's cell is a step function of u.  When the table of cells over (pair,
+component, rotation bin) has no more entries than the call has runs, its
+build is at most one pass over the runs and its memory one byte per run,
+and a run's cell is one gather.  Other calls gather each station's colour
+from a table over the components' switch sets laid end to end.
 
 All randomness flows from one child of numpy's SeedSequence(seed), so
 results are reproducible per seed.
@@ -48,17 +47,17 @@ class CountTable:
 
 
 #: Runs per block of the per-run work, so that its temporaries stay in cache.
-_RUN_BLOCK = 8192
+_RUN_BLOCK = 16384
 
-#: Table bins per point (switch or cdf entry) in `classical_outcomes`.  A
-#: query lands in a bin that holds a point, and takes `searchsorted`, about
-#: once in this many.
+#: Table bins per point (switch, cdf entry, rotation breakpoint): about 1 query in this many is marked.
 _BINS_PER_SWITCH = 64
+
+_MARK = 4  # a cell-table bin near a rotation breakpoint
 
 
 def _blocks(n: int) -> list[slice]:
     """Consecutive slices of at most _RUN_BLOCK runs that cover range(n)."""
-    return [slice(i, i + _RUN_BLOCK) for i in range(0, n, _RUN_BLOCK)]
+    return [slice(i, min(i + _RUN_BLOCK, n)) for i in range(0, n, _RUN_BLOCK)]
 
 
 def _bin_table(points: np.ndarray, scale: float, n_bins: int, values: np.ndarray, mark: float) -> np.ndarray:
@@ -72,108 +71,150 @@ def _bin_table(points: np.ndarray, scale: float, n_bins: int, values: np.ndarray
     and its queries must take `searchsorted` over the sorted points.
     """
     held = (points * scale).astype(np.intp)
-    table = values[held.searchsorted(np.arange(n_bins + 1))]
+    table = np.repeat(values, np.diff(held, prepend=-1, append=n_bins))  # values[i] over (held[i-1], held[i]]
     table[held] = mark
     return table
 
 
-def classical_outcomes(
-    model: Mixture | Colouring,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    pair_idx: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical runs at settings (alphas, betas)[pair_idx]; (a, b) int8 arrays of +-1.
+def _cell_table(x: np.ndarray, local: list[np.ndarray], n_bins: int, delta: float) -> np.ndarray:
+    """Cells over (pair, component, rotation bin), flat, in rows of n_bins + 2 bins.
 
-    Each setting x is reduced mod 2*pi once.  Component c's full switch set
-    is shifted by 2*pi*c and the shifted sets are concatenated into one
-    sorted array S, in which a run of component c looks up
-    q = remainder(x - u, 2*pi) + 2*pi*c; `circle.colours` reads its colour
-    from the parity of the number of switches <= q.  Every full switch set
-    has even length, so the parity of the global count is that of the
-    local one.  Adding 2*pi*c rounds to the spacing of floats near 2*pi*n
-    for n components, so an angle within about ulp(2*pi*n) of one of a
-    component's 2k+2 switches (the one at 0 read as 2*pi too) can land on
-    the wrong side of it and flip its colour.  That happens with
-    probability about 2*(2k+2)*ulp(2*pi*n)/(2*pi) per run, k the largest
-    switch count: ~4e-14 for n = 4, k = 16 and ~1e-11 for n = 1000.  A
-    single colouring is not shifted.
-
-    Two `_bin_table`s stand in for `searchsorted`.  The component is drawn
-    as `rng.choice(n_comp, n, p=weights)` draws it: one `random` per run,
-    placed in choice's own cdf.  Its table has m = _BINS_PER_SWITCH *
-    n_comp bins over [0, 1), plus bin m, which holds cdf[-1] = 1 (no pick
-    reaches it: (1 - 2**-53) * m rounds below m); it stores the shift
-    2*pi*c, and a pick in a bin that holds a cdf point takes `searchsorted`
-    in the cdf.  The colour table has _BINS_PER_SWITCH * len(S) bins over
-    [0, 2*pi*n), plus the bin where q = 2*pi*n lands, and stores the
-    colour.  The queries that meet a bin holding a switch are kept with
-    their positions, and each station reads them with one
-    `circle.colours` over S after the blocks.  The colours are thus
-    exactly those of one `searchsorted` over S, the switch at 0 read as
-    2*pi at a boundary between components included.
-
-    Resolving them inside their block instead measured slower: with no
-    kept array left above the per-run arrays when a call ends, glibc's
-    malloc can trim the heap, and each 200k-run call then takes ~1300
-    more page faults (`sim` -17% in 4 of 6 runs on a 2-vCPU VM).
+    x is (2, pairs) reduced settings, `local` the full switch sets.  Bin b
+    serves the u with int(u * n_bins / 2*pi) == b; no u reads the last bin.
+    A switch s flips a station's colour at u = t = (x - s) mod 2*pi; the
+    colour at u = 0 is the parity of #{s <= x}, entered as flips in bins 0
+    and last.  Each station then flips evenly often per row, so one sort of
+    all flips by bin (coded 2 for alpha, 1 for beta), a xor-accumulate and
+    `np.repeat` lay out every row.  The bins of the ends of [t -+ delta], t
+    or its copies at +-2*pi, store _MARK (delta * n_bins << 2*pi, so no bin
+    lies between; an end off the row marks an unread last bin).
     """
-    mix = as_mixture(model)
-    n_comp = len(mix.components)
-    n = pair_idx.size
-    u = rng.uniform(0.0, TWO_PI, n)
-    if n_comp > 1:
-        weights = np.array([w for w, _ in mix.components])
-        cdf = (weights / weights.sum()).cumsum()
-        cdf /= cdf[-1]
-        pick = rng.random(n)
-        m = _BINS_PER_SWITCH * n_comp
-        shifts = _bin_table(cdf, m, m, TWO_PI * np.arange(n_comp + 1), -1.0)
-    switches = np.concatenate([
-        np.array(full_switch_set(c)) + TWO_PI * ci for ci, (_, c) in enumerate(mix.components)
-    ])
-    n_bins = _BINS_PER_SWITCH * switches.size
-    scale = n_bins / (TWO_PI * n_comp)
-    # the colour after 0, 1, 2, ... switches; 0 marks a bin that holds one
-    table = _bin_table(switches, scale, n_bins, np.resize(np.int8([-1, 1]), switches.size + 1), 0)
+    n_comp, row, scale = len(local), n_bins + 2, n_bins / TWO_PI
+    comp = np.repeat(np.arange(n_comp), [f.size for f in local])
+    base = row * (np.arange(x.shape[1])[:, None] * n_comp + comp)  # (pair, switch) row starts
+    t = x[..., None] - np.concatenate(local)
+    ahead = t >= 0  # s <= x
+    t += ~ahead * TWO_PI
+    start = 4 * base + np.array([2, 1])[:, None, None]  # sort key 4 * bin + code
+    flips = (start + 4 * (t * scale).astype(np.intp) + 4).ravel()
+    keys = np.sort(np.concatenate([flips, start[ahead], start[ahead] + 4 * (row - 1)]))
+    codes = np.bitwise_xor.accumulate(keys & 3) ^ 2  # colour +1 after an odd count; b is minus beta's colour
+    cells = np.repeat(codes.astype(np.int8), np.diff(keys >> 2, append=x.shape[1] * n_comp * row))
+    ends = np.array([-TWO_PI - delta, -TWO_PI + delta, -delta, delta, TWO_PI - delta, TWO_PI + delta])
+    cells[base[..., None] + np.clip((t[..., None] + ends) * scale, -1, n_bins + 1).astype(np.intp)] = _MARK
+    return cells
 
-    alphas, betas = np.remainder(alphas, TWO_PI), np.remainder(betas, TWO_PI)
-    a, b = np.empty(n, np.int8), np.empty(n, np.int8)
-    # per station: positions and queries of the lookups that met a marked bin
-    late_pos = ([np.empty(0, np.intp)], [np.empty(0, np.intp)])
-    late_q = ([np.empty(0)], [np.empty(0)])
-    for s in _blocks(n):
-        shift = 0.0
-        if n_comp > 1:
-            p = pick[s]
-            shift = shifts[(p * m).astype(np.intp)]
-            lost = np.flatnonzero(shift < 0.0)
-            shift[lost] = TWO_PI * cdf.searchsorted(p[lost], side="right")
-        for x, out, pos, qs in zip((alphas, betas), (a, b), late_pos, late_q):
-            q = x[pair_idx[s]] - u[s]
-            q += (q < 0) * TWO_PI  # remainder(q, 2*pi) bit for bit below 2*pi: fmod is exact there
-            q += shift
-            col = table[(q * scale).astype(np.intp)]
-            marked = np.flatnonzero(col == 0)
-            pos.append(marked + s.start)
-            qs.append(q[marked])
-            out[s] = col
-    for out, pos, qs in zip((a, b), late_pos, late_q):
-        out[np.concatenate(pos)] = colours(switches, np.concatenate(qs))
-    return a, -b
+
+class _ClassicalLookup:
+    """The per-block lookups of `classical_outcomes` for one model, its settings and run count."""
+
+    def __init__(self, model: Mixture | Colouring, alphas: np.ndarray, betas: np.ndarray, n_runs: int):
+        mix = as_mixture(model)
+        self.n_comp = n_comp = len(mix.components)
+        local = [np.array(full_switch_set(c)) for _, c in mix.components]
+        self.switches = np.concatenate([f + TWO_PI * ci for ci, f in enumerate(local)])
+        self.x = np.remainder([alphas, betas], TWO_PI)
+        n_bins = _BINS_PER_SWITCH * 2 * max(f.size for f in local)
+        self.row = n_bins + 2
+        self.stride = n_comp * self.row  # the cells of one setting pair
+        self.by_cell = alphas.size * self.stride <= n_runs
+        if self.by_cell:
+            self.scale = n_bins / TWO_PI
+            self.table = _cell_table(self.x, local, n_bins, 16 * np.spacing(TWO_PI * (n_comp + 1)))
+            self.values = self.row * np.arange(n_comp + 1)
+        else:  # each station's colour after 0, 1, 2, ... switches; 0 marks a bin that holds one
+            n_bins = _BINS_PER_SWITCH * self.switches.size
+            self.scale = n_bins / (TWO_PI * n_comp)
+            colour = np.resize(np.int8([-1, 1]), self.switches.size + 1)
+            self.table = _bin_table(self.switches, self.scale, n_bins, colour, 0)
+            self.values = TWO_PI * np.arange(n_comp + 1)
+        weights = np.array([w for w, _ in mix.components])
+        self.cdf = (weights / weights.sum()).cumsum()
+        self.cdf /= self.cdf[-1]
+        self.m = _BINS_PER_SWITCH * n_comp
+        self.comp_table = _bin_table(self.cdf, self.m, self.m, self.values, -1)
+
+    def components(self, pick: np.ndarray) -> np.ndarray:
+        """values[c], c = cdf.searchsorted(pick, side="right") as choice(p=) places it: an offset or a shift."""
+        found = self.comp_table[(pick * self.m).astype(np.intp)]
+        lost = np.flatnonzero(found < 0)
+        found[lost] = self.values[self.cdf.searchsorted(pick[lost], side="right")]
+        return found
+
+    def cells(self, idx: np.ndarray, u: np.ndarray, comp) -> np.ndarray:
+        """int8 cells of runs at pair indices idx, rotations u and component values comp."""
+        if self.by_cell:
+            at = idx * np.intp(self.stride) + comp + (u * self.scale).astype(np.intp)
+            cell = self.table[at]
+            late = np.flatnonzero(cell == _MARK)
+            idx, u, comp = idx[late], u[late], TWO_PI * (at[late] // self.row % self.n_comp)
+        q = self.x.take(idx, axis=1) - u
+        q += (q < 0) * TWO_PI  # remainder(q, 2*pi) bit for bit below 2*pi: fmod is exact there
+        q += comp
+        if self.by_cell:  # cell 2 * (a < 0) + (b < 0), b minus beta's colour
+            colour = colours(self.switches, q)
+            cell[late] = 1 - colour[0] + (colour[1] > 0)
+            return cell
+        colour = self.table[(q * self.scale).astype(np.intp)]
+        late = np.flatnonzero(colour[0] * colour[1] == 0)
+        colour[:, late] = colours(self.switches, q[:, late])
+        return 1 - colour[0] + (colour[1] > 0)
+
+
+def classical_outcomes(
+    model: Mixture | Colouring, alphas: np.ndarray, betas: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """int8 cells of classical runs at settings (alphas, betas)[pair_idx]; rng must draw from PCG64.
+
+    The exact rule: component c's full switch set is shifted by 2*pi*c and
+    the shifted sets are concatenated into one sorted array S, in which a
+    run looks up q = remainder(x - u, 2*pi) + 2*pi*c, x the reduced
+    setting; its colour is +1 after an odd number of switches <= q (every
+    set has even length).  Adding 2*pi*c rounds to ulp(2*pi*n) for n
+    components, so an angle that close to a switch (0 read as 2*pi too) can
+    land on its wrong side: ~4e-14 per run for n = 4, k = 16.
+
+    Both tables give that rule's cells.  The cell table's delta =
+    16 ulp(2*pi*(n+1)) bounds every rounding: q is within 2 ulp(2*pi*n) of
+    its real value, S within ulp(2*pi*n)/2 of s + 2*pi*c, and each computed
+    breakpoint within ulp(4*pi) of the real one.  Rounding u * scale is
+    monotone in u, so every u in an unmarked bin lies more than delta from
+    every real breakpoint, and the rule reads the bin's cell there.
+    """
+    lookup = _ClassicalLookup(model, alphas, betas, pair_idx.size)
+    comp, mixed = lookup.values[0], lookup.n_comp > 1
+    if mixed:  # the picks follow all n rotations in the stream
+        bits = np.random.PCG64(0)
+        bits.state = rng.bit_generator.state
+        picks = np.random.Generator(bits.advance(pair_idx.size))
+    cells = np.empty(pair_idx.size, np.int8)
+    for s in _blocks(pair_idx.size):
+        u = rng.random(s.stop - s.start) * TWO_PI
+        if mixed:
+            comp = lookup.components(picks.random(u.size))
+        cells[s] = lookup.cells(pair_idx[s], u, comp)
+    if mixed:  # rng keeps its buffered 32-bit half, which advance() clears
+        rng.bit_generator.state = {**rng.bit_generator.state, "state": bits.state["state"]}
+    return cells
 
 
 def quantum_outcomes(
     alphas: np.ndarray, betas: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Samples from the four-cell singlet law at settings (alphas, betas)[pair_idx]."""
-    n = pair_idx.size
-    a = rng.choice(np.array([1, -1], np.int8), size=n)
-    equal = rng.random(n)
+) -> np.ndarray:
+    """int8 cells sampled from the four-cell singlet law at settings (alphas, betas)[pair_idx].
+
+    a = -1 where `integers(0, 2)` draws 1, the index `choice([1, -1])` draws
+    (int32 draws the same), and b = a where the next `random` falls below
+    Pr(a = b): the cell is 3 * neg, or the other cell of that a.
+    """
+    neg = rng.integers(0, 2, pair_idx.size, dtype=np.int32)
+    equal = rng.random(pair_idx.size)
     # reduced first: alpha - beta of two finite settings can overflow to inf
     p_equal = 0.5 * (1.0 - np.cos(np.remainder(alphas, TWO_PI) - np.remainder(betas, TWO_PI)))
-    return a, np.where(equal < p_equal[pair_idx], a, -a)
+    cells = np.empty(pair_idx.size, np.int8)
+    for s in _blocks(pair_idx.size):
+        cells[s] = 3 * neg[s] ^ (equal[s] >= p_equal[pair_idx[s]])
+    return cells
 
 
 def run_experiment(
@@ -194,19 +235,18 @@ def run_experiment(
         raise ValidationError("n_runs must be >= 1")
     alphas, betas = np.array(keys).T.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    pair_idx = rng.integers(len(keys), size=n_runs)
+    pair_idx = rng.integers(len(keys), size=n_runs, dtype=np.int32 if len(keys) <= 2**31 else np.int64)
     if model is None:
-        a, b = quantum_outcomes(alphas, betas, pair_idx, rng)
+        cells = quantum_outcomes(alphas, betas, pair_idx, rng)
     else:
-        a, b = classical_outcomes(model, alphas, betas, pair_idx, rng)
-    counts = np.zeros((len(keys), 4), np.int64)
+        cells = classical_outcomes(model, alphas, betas, pair_idx, rng)
+    counts = np.zeros(len(keys) * 4, np.int64)
     for s in _blocks(n_runs):
-        cells = (a[s] < 0) * 2 + (b[s] < 0)  # 0:++ 1:+- 2:-+ 3:--
-        counts += np.bincount(pair_idx[s] * 4 + cells, minlength=counts.size).reshape(-1, 4)
+        counts += np.bincount(pair_idx[s] * np.intp(4) + cells[s], minlength=counts.size)
     rows = {}
-    for key, cells in zip(keys, counts):
-        if cells.any():
-            rows[key] = rows.get(key, 0) + cells
+    for key, row in zip(keys, counts.reshape(-1, 4)):
+        if row.any():
+            rows[key] = rows.get(key, 0) + row
     order = sorted(rows)
     return CountTable(order, np.array([rows[key] for key in order]))
 

@@ -9,8 +9,9 @@ u, then the component index.  For the same rng state they give the same
   library within ulp(2*pi*n) of a shifted switch (see `classical_outcomes`).
 - `concatenated_classical_outcomes` reduces each setting mod 2*pi, then
   takes one `np.remainder` and one `searchsorted` over the components'
-  switch sets laid end to end.  The bin-table lookup must match it bit for
-  bit.
+  switch sets laid end to end (`concatenated_outcomes_at`, which takes the
+  rotations and components as arguments).  Both table lookups must match it
+  bit for bit.
 
 `segments` walks a colouring's constant-colour arcs, the oracle of
 `circle.colours`, and `segment_spectrum` is the per-arc body that
@@ -75,14 +76,19 @@ def concatenated_classical_outcomes(model, alphas, betas, rng):
     n = alphas.size
     u = rng.uniform(0.0, TWO_PI, n)
     if len(mix.components) == 1:
-        shift = 0.0
+        comp_idx = 0
     else:
         weights = np.array([w for w, _ in mix.components])
         comp_idx = rng.choice(len(mix.components), size=n, p=weights / weights.sum())
-        shift = TWO_PI * comp_idx
+    return concatenated_outcomes_at(model, alphas, betas, u, comp_idx)
+
+
+def concatenated_outcomes_at(model, alphas, betas, u, comp_idx):
+    """(a, b) of runs at rotations u in components comp_idx, by one searchsorted over S."""
     switches = np.concatenate([
-        np.array(full_switch_set(c)) + TWO_PI * ci for ci, (_, c) in enumerate(mix.components)
+        np.array(full_switch_set(c)) + TWO_PI * ci for ci, (_, c) in enumerate(as_mixture(model).components)
     ])
+    shift = TWO_PI * comp_idx if np.ndim(comp_idx) else 0.0
 
     def colours(x):
         idx = np.searchsorted(switches, np.remainder(np.remainder(x, TWO_PI) - u, TWO_PI) + shift, side="right") - 1

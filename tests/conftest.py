@@ -10,6 +10,11 @@ PI = math.pi
 TWO_PI = 2 * math.pi
 
 
+def outcomes(cells):
+    """(a, b) arrays of +-1 from the simulators' cells 0:++ 1:+- 2:-+ 3:--."""
+    return 1 - 2 * (cells >> 1), 1 - 2 * (cells & 1)
+
+
 def random_colouring(rng, k):
     """Random valid colouring with exactly k switches."""
     while True:

@@ -289,6 +289,7 @@ class TestChsh:
     # both arrays exceed a 47-bit address space, so their allocation fails at once
     ["chsh", "--quantum", "--scan-step", "1e-15"],
     ["corr", "MODEL", "--grid", "10000000000000000"],
+    ["sim", "--quantum", "--grid", "10000000000000000"],
     # sizes past numpy's index limit, sys.maxsize
     ["corr", "MODEL", "--grid", "100000000000000000000"],
     ["spectrum", "MODEL", "--nmax", "100000000000000000000"],

@@ -13,13 +13,13 @@ from spindisk import (
     run_experiment,
     triangle_colouring,
 )
-from spindisk.circle import ANGLE_TOL, WEIGHT_TOL, Mixture, ValidationError, as_mixture, colours, full_switch_set
+from spindisk.circle import ANGLE_TOL, WEIGHT_TOL, Mixture, ValidationError, as_mixture, full_switch_set
 from spindisk.montecarlo import (
-    _BINS_PER_SWITCH, _RUN_BLOCK, _bin_table, classical_outcomes, quantum_outcomes,
+    _BINS_PER_SWITCH, _RUN_BLOCK, _ClassicalLookup, _bin_table, classical_outcomes, quantum_outcomes,
 )
 
-from colour_oracle import concatenated_classical_outcomes, masked_classical_outcomes
-from conftest import mixtures, random_colouring, random_mixture
+from colour_oracle import concatenated_classical_outcomes, concatenated_outcomes_at, masked_classical_outcomes
+from conftest import mixtures, outcomes, random_colouring, random_mixture
 from experiment_oracle import _quantum_outcomes, per_key_correlation, whole_array_run_experiment
 
 PI = math.pi
@@ -36,24 +36,24 @@ class TestClassicalRun:
     def test_equal_settings_always_opposite(self, rng):
         model = random_mixture(rng)
         alpha = rng.uniform(0, 2 * PI)
-        a, b = classical_outcomes(model, *_at(alpha, alpha, 10_000), rng)
+        a, b = outcomes(classical_outcomes(model, *_at(alpha, alpha, 10_000), rng))
         assert np.all(a == -b)
 
     def test_opposed_settings_always_equal(self, rng):
         model = random_mixture(rng)
         alpha = rng.uniform(0, PI)
-        a, b = classical_outcomes(model, *_at(alpha, alpha + PI, 10_000), rng)
+        a, b = outcomes(classical_outcomes(model, *_at(alpha, alpha + PI, 10_000), rng))
         assert np.all(a == b)
 
     def test_triangle_at_right_angle_uncorrelated(self, rng):
         n = 10**6
-        a, b = classical_outcomes(triangle_colouring(), *_at(0.0, PI / 2, n), rng)
+        a, b = outcomes(classical_outcomes(triangle_colouring(), *_at(0.0, PI / 2, n), rng))
         assert abs(np.mean(a * b)) < 4 / math.sqrt(n)
 
     def test_marginal_fairness(self, rng):
         n = 10**5
         model = random_mixture(rng)
-        a, _ = classical_outcomes(model, *_at(1.3, 0.2, n), rng)
+        a, _ = outcomes(classical_outcomes(model, *_at(1.3, 0.2, n), rng))
         assert abs(np.mean(a)) < 4 / math.sqrt(n)
 
     @settings(max_examples=50, deadline=None)
@@ -66,11 +66,11 @@ class TestClassicalRun:
         alphas, betas = x[:, (np.remainder(x, TWO_PI) < TWO_PI).all(axis=0)]
         pair_idx = data.integers(alphas.size, size=B + 5)
         rng, reduced_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, b = classical_outcomes(model, alphas, betas, pair_idx, rng)
-        a_ref, b_ref = classical_outcomes(
+        cells = classical_outcomes(model, alphas, betas, pair_idx, rng)
+        ref = classical_outcomes(
             model, np.remainder(alphas, TWO_PI), np.remainder(betas, TWO_PI), pair_idx, reduced_rng
         )
-        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        assert np.array_equal(cells, ref)
         assert rng.bit_generator.state == reduced_rng.bit_generator.state
 
 
@@ -87,7 +87,7 @@ class TestColourLookup:
         else:
             alphas, betas = setting_rng.uniform(0.0, TWO_PI, size=(2, n_runs))
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, b = classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)
+        a, b = outcomes(classical_outcomes(model, alphas, betas, np.arange(n_runs), rng))
         a_ref, b_ref = masked_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.random() == oracle_rng.random()  # same draws consumed
@@ -189,7 +189,7 @@ class TestBinTableLookup:
         ))
 
         rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        a, b = classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)
+        a, b = outcomes(classical_outcomes(model, alphas, betas, np.arange(n_runs), rng))
         a_ref, b_ref = concatenated_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -243,24 +243,6 @@ _WEIGHT_CASES = {
 }
 
 
-class _Scripted:
-    """Stands in for the generator: hands out the given rotation and picks, in that order."""
-
-    def __init__(self, u, pick):
-        self._draws = {"uniform": u, "random": pick}
-        self.order = []
-
-    def uniform(self, low, high, n):
-        self.order.append("uniform")
-        assert (low, high, n) == (0.0, TWO_PI, self._draws["uniform"].size)
-        return self._draws["uniform"]
-
-    def random(self, n):
-        self.order.append("random")
-        assert n == self._draws["random"].size
-        return self._draws["random"]
-
-
 class TestBinTable:
     """`_bin_table` lookups with crafted queries equal plain searchsorted(side="right")."""
 
@@ -289,11 +271,12 @@ class TestBinTable:
         assert np.array_equal(_table_lookup(switches, scale, n_bins, x),
                               switches.searchsorted(x, side="right"))
 
+    @pytest.mark.parametrize("by_cell", [False, True], ids=["station", "cell"])
     @pytest.mark.parametrize("case", sorted(_WEIGHT_CASES))
-    def test_crafted_picks_through_classical_outcomes(self, case):
+    def test_crafted_picks_through_the_component_lookup(self, case, by_cell):
         # the component of each run is cdf.searchsorted(pick, "right"), as
-        # rng.choice(p=) places it, and its colours come from the
-        # concatenated switch sets
+        # rng.choice(p=) places it, and its cells come from that component's
+        # switches in the concatenated switch sets
         rng = np.random.default_rng(29)
         model = Mixture(tuple(
             (w, random_colouring(rng, int(rng.choice([0, 2, 4])))) for w in _WEIGHT_CASES[case](rng)
@@ -302,36 +285,143 @@ class TestBinTable:
         m = _BINS_PER_SWITCH * cdf.size
         pick = _crafted_queries(cdf, m, m, rng)
         pick = rng.permutation(pick[pick < 1.0])
-        n = pick.size
-        alphas, betas = rng.uniform(0.0, TWO_PI, (2, n))
-        u = rng.uniform(0.0, TWO_PI, n)
-        scripted = _Scripted(u, pick)
-        a, b = classical_outcomes(model, alphas, betas, np.arange(n), scripted)
-        assert scripted.order == (["uniform", "random"] if cdf.size > 1 else ["uniform"])
-        shift = TWO_PI * cdf.searchsorted(pick, side="right") if cdf.size > 1 else 0.0
-        switches = _concatenated_switches(model)
-        for x, sign, got in ((alphas, 1, a), (betas, -1, b)):
-            ref = sign * colours(switches, np.remainder(x - u, TWO_PI) + shift)
-            assert np.array_equal(got, ref)
+        alphas, betas = rng.uniform(0.0, TWO_PI, (2, 4))
+        idx, u = rng.integers(4, size=pick.size), rng.uniform(0.0, TWO_PI, pick.size)
+        lookup = _ClassicalLookup(model, alphas, betas, 10**12 if by_cell else 0)
+        assert lookup.by_cell == by_cell
+        comp = cdf.searchsorted(pick, side="right")
+        want = (lookup.row if by_cell else TWO_PI) * comp  # the component's offset or shift
+        assert np.array_equal(lookup.components(pick), want)
+        a, b = outcomes(lookup.cells(idx, u, lookup.components(pick)))
+        a_ref, b_ref = concatenated_outcomes_at(model, alphas[idx], betas[idx], u, comp)
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
 
     @pytest.mark.parametrize("n_comp", [1, 3])
     def test_no_runs(self, n_comp):
         model = Mixture(tuple((1 / n_comp, triangle_colouring()) for _ in range(n_comp)))
         rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
-        a, b = classical_outcomes(model, np.array([0.5]), np.array([1.0]), np.zeros(0, np.intp), rng)
-        assert a.shape == b.shape == (0,) and a.dtype == b.dtype == np.int8
+        cells = classical_outcomes(model, np.array([0.5]), np.array([1.0]), np.zeros(0, np.intp), rng)
+        assert cells.shape == (0,) and cells.dtype == np.int8
         concatenated_classical_outcomes(model, np.zeros(0), np.zeros(0), oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+class TestStreams:
+    """The numpy stream identities that the blocked draws rely on."""
+
+    def test_blocked_random_times_two_pi_is_uniform(self):
+        n = 3 * B + 5
+        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+        u = np.concatenate([rng.random(min(B, n - i)) * TWO_PI for i in range(0, n, B)])
+        assert u.tobytes() == ref.uniform(0.0, TWO_PI, n).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, B + 3])
+    def test_advanced_copy_draws_the_picks_after_n_doubles(self, n):
+        rng = np.random.default_rng(2)
+        rng.integers(7, size=3, dtype=np.int32)  # leaves a buffered 32-bit half
+        bits = np.random.PCG64(0)
+        bits.state = rng.bit_generator.state
+        picks = np.random.Generator(bits.advance(n)).random(n)
+        rng.random(n)
+        assert picks.tobytes() == rng.random(n).tobytes()
+        assert bits.state["state"] == rng.bit_generator.state["state"]
+
+    @pytest.mark.parametrize("n_pairs", [1, 7, 16, 1000, 3**19])
+    def test_int32_pair_draws_equal_int64(self, n_pairs):
+        for n in (1, B + 1):
+            rng, ref = np.random.default_rng(n_pairs), np.random.default_rng(n_pairs)
+            assert np.array_equal(rng.integers(n_pairs, size=n, dtype=np.int32), ref.integers(n_pairs, size=n))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, B + 1])
+    def test_integers_0_2_are_the_indices_choice_draws(self, n):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        neg = rng.integers(0, 2, n, dtype=np.int32)
+        assert np.array_equal(1 - 2 * neg, ref.choice(np.array([1, -1]), size=n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("model", [
+        triangle_colouring(), Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.4, 2.2])))),
+    ])
+    def test_classical_draws_keep_a_buffered_half(self, model):
+        rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for g in (rng, oracle_rng):
+            g.integers(5, size=3, dtype=np.int32)
+        alphas, betas = np.array([0.3, 7.0]), np.array([1.1, -2.0])
+        pair_idx = np.arange(2 * B + 1) % 2
+        a, b = outcomes(classical_outcomes(model, alphas, betas, pair_idx, rng))
+        a_ref, b_ref = concatenated_classical_outcomes(model, alphas[pair_idx], betas[pair_idx], oracle_rng)
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _settings_near_switches(model, rng, n_pairs):
+    """Settings on switches, one ulp beside them, at +-pi and +-2*pi, at -0.0, or past 2*pi."""
+    f = np.concatenate([full_switch_set(c) for _, c in as_mixture(model).components])
+    special = np.concatenate([f, f + PI, f - TWO_PI, [PI, -PI, TWO_PI, -TWO_PI, -0.0, -1e-300, 1e-300]])
+    special = np.concatenate([special, np.nextafter(special, np.inf), np.nextafter(special, -np.inf)])
+    return np.where(rng.random((2, n_pairs)) < 0.8, rng.choice(special, (2, n_pairs)),
+                    rng.uniform(-20.0, 20.0, (2, n_pairs)))
+
+
+def _breakpoint_runs(model, alphas, betas):
+    """(pair, rotation, component) runs at each rotation breakpoint (x - s) mod 2*pi.
+
+    Its copies at +-2*pi and 1-4 ulps either side of each are included.
+    """
+    runs = []
+    for p, x in enumerate(np.remainder([alphas, betas], TWO_PI).T):
+        for ci, (_, c) in enumerate(as_mixture(model).components):
+            t = np.remainder(x[:, None] - np.array(full_switch_set(c)), TWO_PI).ravel()
+            t = np.concatenate([t, t - TWO_PI, t + TWO_PI])  # a breakpoint near 0 also acts near 2*pi
+            near = [t]
+            for direction in (-np.inf, np.inf):
+                v = t
+                for _ in range(4):
+                    v = np.nextafter(v, direction)
+                    near.append(v)
+            u = np.concatenate(near)
+            # where x - u rounds to 2*pi (x reduced to 2*pi, u below ulp(2*pi)/2)
+            # the oracle's remainder reads 0 and the kernel's add-wrap 2*pi
+            u = u[(u >= 0.0) & (u < TWO_PI) & (x[:, None] - u < TWO_PI).all(axis=0)]
+            runs.append((np.full(u.size, p), u, np.full(u.size, ci)))
+    return (np.concatenate(r) for r in zip(*runs))
+
+
+class TestCellTable:
+    """Both paths of the classical lookup give the exact rule's cells at every rotation breakpoint."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(mixtures(max_k=16), st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_breakpoints_match_concatenated_oracle(self, model, seed, n_pairs):
+        alphas, betas = _settings_near_switches(model, np.random.default_rng(seed), n_pairs)
+        idx, u, comp = _breakpoint_runs(model, alphas, betas)
+        a_ref, b_ref = concatenated_outcomes_at(model, alphas[idx], betas[idx], u, comp)
+        for n_runs in (0, 10**12):
+            lookup = _ClassicalLookup(model, alphas, betas, n_runs)
+            assert lookup.by_cell == (n_runs > 0)
+            a, b = outcomes(lookup.cells(idx, u, lookup.values[comp]))
+            assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+    def test_size_rule_sides_match_whole_array_oracle(self):
+        model, pairs = _BLOCK_CASES["mixture3_outside"]
+        zeros = np.zeros(len(pairs))
+        entries = _ClassicalLookup(model, zeros, zeros, 0).stride * len(pairs)
+        for n_runs, by_cell in ((entries - 1, False), (entries, True)):
+            assert _ClassicalLookup(model, zeros, zeros, n_runs).by_cell == by_cell
+            table = run_experiment(model, pairs, n_runs=n_runs, seed=n_runs)
+            assert_oracle_table(table, whole_array_run_experiment(model, pairs, n_runs, seed=n_runs))
+
+
 class TestQuantumRun:
     def test_equal_settings_always_opposite(self, rng):
-        a, b = quantum_outcomes(*_at(0.0, 0.0, 10_000), rng)
+        a, b = outcomes(quantum_outcomes(*_at(0.0, 0.0, 10_000), rng))
         assert np.all(a == -b)
 
     def test_right_angle_all_four_cells(self, rng):
         n = 10**5
-        a, b = quantum_outcomes(*_at(0.0, PI / 2, n), rng)
+        a, b = outcomes(quantum_outcomes(*_at(0.0, PI / 2, n), rng))
         for sa in (1, -1):
             for sb in (1, -1):
                 frac = np.mean((a == sa) & (b == sb))
@@ -339,7 +429,7 @@ class TestQuantumRun:
 
     def test_cosine_correlation(self, rng):
         n = 10**6
-        a, b = quantum_outcomes(*_at(0.0, PI / 4, n), rng)
+        a, b = outcomes(quantum_outcomes(*_at(0.0, PI / 4, n), rng))
         assert np.mean(a * b) == pytest.approx(-math.cos(PI / 4), abs=4 / math.sqrt(n))
 
     @pytest.mark.parametrize("n", [0, 1, 3 * B + 5])
@@ -347,7 +437,7 @@ class TestQuantumRun:
         alphas, betas = np.array([0.0, 1.0, 5.5, -0.5]), np.array([0.3, 0.0, 7.0, 1e308])
         pair_idx = np.random.default_rng(n).integers(4, size=n)
         rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
-        a, b = quantum_outcomes(alphas, betas, pair_idx, rng)
+        a, b = outcomes(quantum_outcomes(alphas, betas, pair_idx, rng))
         ref_a, ref_b = _quantum_outcomes(alphas[pair_idx], betas[pair_idx], oracle_rng)
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
