@@ -5,26 +5,28 @@ uniform rotation u and reads off a = colour(alpha - u), b = -colour(beta - u):
 each outcome depends only on the shared (component, rotation) pair and the
 local setting.  The quantum simulator samples the four-cell joint law
 Pr(++) = Pr(--) = (1 - cos(alpha-beta))/4, Pr(+-) = Pr(-+) = (1 + cos)/4.
-Both reduce each setting mod 2*pi before subtracting and return one int8
-cell per run (0:++ 1:+- 2:-+ 3:--); `run_experiment` counts them with one
-`np.bincount` per block of `_RUN_BLOCK` runs into a `CountTable`.
+Both reduce each setting mod 2*pi before subtracting.
 
-Each run's pair index is one whole draw (int32 when the pair count fits:
-the same values).  The classical rotations u = 2*pi * `random()` (bit for
-bit `uniform(0, 2*pi)`) and component picks are drawn per block, the picks
-from a copy of the PCG64 bit generator `advance`d past the n rotations:
-the caller's generator ends where whole-array draws leave it, and the only
-whole-run arrays are the pair index and the cells.
+Both count as they draw, in blocks of `_RUN_BLOCK` runs: a block finds
+each run's cell (0:++ 1:+- 2:-+ 3:--) and counts the keys 5 * pair + cell
+(quantum: 4 * pair + cell) in one `_count` into the call's counts.  A run
+in a marked cell-table bin counts in its pair's fifth slot and is kept;
+after the last block one exact pass moves all of them to their cells.
+Only the pair index is a whole-run array (int32 when the count keys
+fit: the same values).  The rotations u = 2*pi * `random()` (bit for
+bit `uniform(0, 2*pi)`), picks and quantum draws come per block, each
+kernel's second stream from a copy of the PCG64 bit generator
+`advance`d past the first: rng ends where whole-array draws leave it.
 
 Lookups gather from tables of uniform bins (the indexed search of Chen &
 Asau 1974 and Devroye 1986, sec. III.2.4): a bin that holds no point stores
 the answer, and a query in a marked bin takes the exact rule of
-`classical_outcomes` inside its block.  For a fixed pair and component a
-run's cell is a step function of u.  When the table of cells over (pair,
-component, rotation bin) has no more entries than the call has runs, its
-build is at most one pass over the runs and its memory one byte per run,
-and a run's cell is one gather.  Other calls gather each station's colour
-from a table over the components' switch sets laid end to end.
+`classical_outcomes`.  For a fixed pair and component a run's cell is a
+step function of u.  When the table of cells over (pair, component,
+rotation bin) has no more entries than the call has runs, its build is at
+most one pass over the runs and its memory one byte per run, and a run's
+cell is one gather.  Other calls gather each station's colour from a
+table over the components' switch sets laid end to end.
 
 All randomness flows from one child of numpy's SeedSequence(seed), so
 results are reproducible per seed.
@@ -58,6 +60,14 @@ _MARK = 4  # a cell-table bin near a rotation breakpoint
 def _blocks(n: int) -> list[slice]:
     """Consecutive slices of at most _RUN_BLOCK runs that cover range(n)."""
     return [slice(i, min(i + _RUN_BLOCK, n)) for i in range(0, n, _RUN_BLOCK)]
+
+
+def _count(counts: np.ndarray, keys: np.ndarray) -> None:
+    """Add 1 to counts.flat[key] for each key: one `np.bincount`, or `np.add.at` if counts outnumber keys."""
+    if counts.size > keys.size:
+        np.add.at(counts.ravel(), keys, 1)
+    else:
+        counts.ravel()[:] += np.bincount(keys, minlength=counts.size)
 
 
 def _bin_table(points: np.ndarray, scale: float, n_bins: int, values: np.ndarray, mark: float) -> np.ndarray:
@@ -136,35 +146,41 @@ class _ClassicalLookup:
 
     def components(self, pick: np.ndarray) -> np.ndarray:
         """values[c], c = cdf.searchsorted(pick, side="right") as choice(p=) places it: an offset or a shift."""
-        found = self.comp_table[(pick * self.m).astype(np.intp)]
+        found = self.comp_table[np.multiply(pick, self.m, out=np.empty(pick.size, np.intp), casting="unsafe")]
         lost = np.flatnonzero(found < 0)
         found[lost] = self.values[self.cdf.searchsorted(pick[lost], side="right")]
         return found
 
-    def cells(self, idx: np.ndarray, u: np.ndarray, comp) -> np.ndarray:
-        """int8 cells of runs at pair indices idx, rotations u and component values comp."""
-        if self.by_cell:
-            at = idx * np.intp(self.stride) + comp + (u * self.scale).astype(np.intp)
-            cell = self.table[at]
-            late = np.flatnonzero(cell == _MARK)
-            idx, u, comp = idx[late], u[late], TWO_PI * (at[late] // self.row % self.n_comp)
+    def _wrapped(self, idx: np.ndarray, u: np.ndarray, shift) -> np.ndarray:
+        """q = remainder(x - u, 2*pi) + shift of both stations, x the reduced settings at idx."""
         q = self.x.take(idx, axis=1) - u
-        q += (q < 0) * TWO_PI  # remainder(q, 2*pi) bit for bit below 2*pi: fmod is exact there
-        q += comp
-        if self.by_cell:  # cell 2 * (a < 0) + (b < 0), b minus beta's colour
-            colour = colours(self.switches, q)
-            cell[late] = 1 - colour[0] + (colour[1] > 0)
-            return cell
-        colour = self.table[(q * self.scale).astype(np.intp)]
+        q += (q < 0) * TWO_PI  # remainder bit for bit below 2*pi: fmod is exact there
+        q += shift
+        return q
+
+    def cells(self, idx: np.ndarray, u: np.ndarray, comp) -> np.ndarray:
+        """int8 cells of runs at pair indices idx, rotations u and component values comp, or _MARK: see `exact`."""
+        if self.by_cell:
+            at = np.multiply(u, self.scale, out=np.empty(u.size, np.intp), casting="unsafe")
+            at += comp
+            at += idx * np.intp(self.stride)
+            return self.table[at]
+        q = self._wrapped(idx, u, comp)
+        colour = self.table[np.multiply(q, self.scale, out=np.empty(q.shape, np.intp), casting="unsafe")]
         late = np.flatnonzero(colour[0] * colour[1] == 0)
         colour[:, late] = colours(self.switches, q[:, late])
         return 1 - colour[0] + (colour[1] > 0)
+
+    def exact(self, idx: np.ndarray, u: np.ndarray, comp: np.ndarray) -> np.ndarray:
+        """The exact rule's cells of runs at cell-table component offsets comp."""
+        colour = colours(self.switches, self._wrapped(idx, u, TWO_PI * (comp // self.row)))
+        return 1 - colour[0] + (colour[1] > 0)  # 2 * (a < 0) + (b < 0), b minus beta's colour
 
 
 def classical_outcomes(
     model: Mixture | Colouring, alphas: np.ndarray, betas: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """int8 cells of classical runs at settings (alphas, betas)[pair_idx]; rng must draw from PCG64.
+    """(len(alphas), 4) int64 counts of classical runs at settings (alphas, betas)[pair_idx]; rng must draw from PCG64.
 
     The exact rule: component c's full switch set is shifted by 2*pi*c and
     the shifted sets are concatenated into one sorted array S, in which a
@@ -187,34 +203,47 @@ def classical_outcomes(
         bits = np.random.PCG64(0)
         bits.state = rng.bit_generator.state
         picks = np.random.Generator(bits.advance(pair_idx.size))
-    cells = np.empty(pair_idx.size, np.int8)
+    counts = np.zeros((alphas.size, 5), np.int64)  # slot 4: runs in a marked bin
+    late = []
     for s in _blocks(pair_idx.size):
-        u = rng.random(s.stop - s.start) * TWO_PI
+        idx, u = pair_idx[s], rng.random(s.stop - s.start) * TWO_PI
         if mixed:
             comp = lookup.components(picks.random(u.size))
-        cells[s] = lookup.cells(pair_idx[s], u, comp)
+        cell = lookup.cells(idx, u, comp)
+        _count(counts, idx * 5 + cell)
+        marked = np.flatnonzero(cell == _MARK)
+        late.append((idx[marked], u[marked], np.broadcast_to(comp, u.shape)[marked]))
     if mixed:  # rng keeps its buffered 32-bit half, which advance() clears
         rng.bit_generator.state = {**rng.bit_generator.state, "state": bits.state["state"]}
-    return cells
+    if late:
+        idx, u, comp = (np.concatenate(a) for a in zip(*late))
+        _count(counts, idx * 5 + lookup.exact(idx, u, comp))
+    return counts[:, :4]
 
 
 def quantum_outcomes(
     alphas: np.ndarray, betas: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """int8 cells sampled from the four-cell singlet law at settings (alphas, betas)[pair_idx].
+    """(len(alphas), 4) int64 counts sampled from the four-cell singlet law at settings (alphas, betas)[pair_idx].
 
     a = -1 where `integers(0, 2)` draws 1, the index `choice([1, -1])` draws
     (int32 draws the same), and b = a where the next `random` falls below
-    Pr(a = b): the cell is 3 * neg, or the other cell of that a.
+    Pr(a = b): the cell is 3 * neg, or the other cell of that a.  The n
+    int32 draws take rng's buffered 32-bit half, if any, then one 64-bit
+    word per two: the `random` draws come from a copy advanced past them.
     """
-    neg = rng.integers(0, 2, pair_idx.size, dtype=np.int32)
-    equal = rng.random(pair_idx.size)
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    equal = np.random.Generator(bits.advance((pair_idx.size - bits.state["has_uint32"] + 1) // 2))
     # reduced first: alpha - beta of two finite settings can overflow to inf
     p_equal = 0.5 * (1.0 - np.cos(np.remainder(alphas, TWO_PI) - np.remainder(betas, TWO_PI)))
-    cells = np.empty(pair_idx.size, np.int8)
+    counts = np.zeros((alphas.size, 4), np.int64)
     for s in _blocks(pair_idx.size):
-        cells[s] = 3 * neg[s] ^ (equal[s] >= p_equal[pair_idx[s]])
-    return cells
+        idx = pair_idx[s]
+        cell = 3 * rng.integers(0, 2, idx.size, dtype=np.int32) ^ (equal.random(idx.size) >= p_equal[idx])
+        _count(counts, idx * 4 + cell)
+    rng.bit_generator.state = {**rng.bit_generator.state, "state": bits.state["state"]}
+    return counts
 
 
 def run_experiment(
@@ -228,27 +257,23 @@ def run_experiment(
     listed twice (equal under ==, as 0.0 and -0.0 are) share one row, under
     the first listed pair that got runs.  Rows follow the sorted pairs.
     """
-    keys = [(float(a), float(b)) for a, b in pairs]
-    if not keys or not np.isfinite(keys).all():
-        raise ValidationError("setting pairs must be non-empty and finite")
+    keys = np.array(pairs, float)
+    if keys.shape[1:] != (2,) or not len(keys) or not np.isfinite(keys).all():
+        raise ValidationError("setting pairs must be a non-empty list of finite (alpha, beta) pairs")
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
-    alphas, betas = np.array(keys).T.copy()
+    alphas, betas = keys.T.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    pair_idx = rng.integers(len(keys), size=n_runs, dtype=np.int32 if len(keys) <= 2**31 else np.int64)
+    pair_idx = rng.integers(len(keys), size=n_runs, dtype=np.int32 if 5 * len(keys) <= 2**31 else np.int64)
     if model is None:
-        cells = quantum_outcomes(alphas, betas, pair_idx, rng)
+        counts = quantum_outcomes(alphas, betas, pair_idx, rng)
     else:
-        cells = classical_outcomes(model, alphas, betas, pair_idx, rng)
-    counts = np.zeros(len(keys) * 4, np.int64)
-    for s in _blocks(n_runs):
-        counts += np.bincount(pair_idx[s] * np.intp(4) + cells[s], minlength=counts.size)
-    rows = {}
-    for key, row in zip(keys, counts.reshape(-1, 4)):
-        if row.any():
-            rows[key] = rows.get(key, 0) + row
-    order = sorted(rows)
-    return CountTable(order, np.array([rows[key] for key in order]))
+        counts = classical_outcomes(model, alphas, betas, pair_idx, rng)
+    listed = np.flatnonzero(counts.any(axis=1))
+    listed = listed[np.lexsort(keys[listed].T[::-1] + 0.0)]  # stable: equal pairs keep their listing order
+    x = keys[listed] + 0.0  # -0.0 + 0.0 is 0.0
+    first = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]).any(axis=1)])  # each row's first listing
+    return CountTable(list(zip(*keys[listed[first]].T.tolist())), np.add.reduceat(counts[listed], first))
 
 
 def empirical_correlation(table: CountTable) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from spindisk.lattice import LatticeColouring
 from spindisk.montecarlo import classical_outcomes, quantum_outcomes
 from spindisk.spectral import gull_diagnostic, pl_cosine_coeffs
 
-from conftest import outcomes, random_colouring, random_mixture
+from conftest import random_colouring, random_mixture
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -60,10 +60,10 @@ def test_criterion_01_certainty_relations():
         assert abs(pl.sample(PI) - 1.0) <= 1e-12
     model = random_mixture(rng)
     alpha = rng.uniform(0, TWO_PI)
-    a, b = outcomes(classical_outcomes(
+    (npp, npm, nmp, nmm), = classical_outcomes(
         model, np.array([alpha]), np.array([alpha]), np.zeros(10_000, np.intp), rng
-    ))
-    assert np.all(a == -b), "equal settings must give opposite outcomes in every run"
+    )
+    assert npp == nmm == 0 and npm + nmp == 10_000, "equal settings must give opposite outcomes in every run"
     _report("1 certainty relations", time.time() - t0, 10)
 
 
@@ -81,8 +81,8 @@ def test_criterion_03_quantum_reference():
     n = 10**6
     deltas = TWO_PI * np.arange(8) / 8 + 0.1
     for delta in deltas:
-        a, b = outcomes(quantum_outcomes(np.zeros(1), np.array([delta]), np.zeros(n, np.intp), rng))
-        est = float(np.mean(a * b))
+        (npp, npm, nmp, nmm), = quantum_outcomes(np.zeros(1), np.array([delta]), np.zeros(n, np.intp), rng)
+        est = (npp + nmm - npm - nmp) / n  # the mean of a * b
         assert abs(est - (-math.cos(delta))) < 0.005, f"delta={delta}"
     _report("3 quantum reference", time.time() - t0, 30)
 
@@ -96,9 +96,8 @@ def test_criterion_04_montecarlo_vs_exact():
         c = random_colouring(rng, int(rng.choice([2, 4, 6])))
         pl = exact_correlation(c)
         betas = rng.uniform(0, TWO_PI, 8)
-        a, b = outcomes(classical_outcomes(c, np.zeros(8), betas, np.repeat(np.arange(8), n), rng))
-        prods = (a * b).reshape(8, n)
-        for beta, est in zip(betas, prods.mean(axis=1)):
+        npp, npm, nmp, nmm = classical_outcomes(c, np.zeros(8), betas, np.repeat(np.arange(8), n), rng).T
+        for beta, est in zip(betas, (npp + nmm - npm - nmp) / n):  # the mean of a * b at each beta
             assert abs(est - pl.sample(beta)) < tol, f"model {i}, beta={beta}"
     _report("4 Monte Carlo vs exact", time.time() - t0, 120)
 

@@ -14,8 +14,9 @@ from spindisk import (
     triangle_colouring,
 )
 from spindisk.circle import ANGLE_TOL, WEIGHT_TOL, Mixture, ValidationError, as_mixture, full_switch_set
+from spindisk import montecarlo
 from spindisk.montecarlo import (
-    _BINS_PER_SWITCH, _RUN_BLOCK, _ClassicalLookup, _bin_table, classical_outcomes, quantum_outcomes,
+    _BINS_PER_SWITCH, _MARK, _RUN_BLOCK, _ClassicalLookup, _bin_table, classical_outcomes, quantum_outcomes,
 )
 
 from colour_oracle import concatenated_classical_outcomes, concatenated_outcomes_at, masked_classical_outcomes
@@ -32,29 +33,43 @@ def _at(alpha, beta, n):
     return np.array([alpha]), np.array([beta]), np.zeros(n, np.intp)
 
 
+def _one_hot_cells(counts):
+    """Each run's cell from the counts of a call that lists one pair per run (pair_idx = arange(n))."""
+    assert np.array_equal(counts.sum(axis=1), np.ones(len(counts)))
+    return counts.argmax(axis=1)
+
+
+def _run_cells(lookup, idx, u, comp):
+    """Cells through the lookup's per-block entry point, a marked run's from the exact pass."""
+    cell = lookup.cells(idx, u, comp)
+    late = np.flatnonzero(cell == _MARK)
+    cell[late] = lookup.exact(idx[late], u[late], comp[late])
+    return cell
+
+
 class TestClassicalRun:
     def test_equal_settings_always_opposite(self, rng):
         model = random_mixture(rng)
         alpha = rng.uniform(0, 2 * PI)
-        a, b = outcomes(classical_outcomes(model, *_at(alpha, alpha, 10_000), rng))
-        assert np.all(a == -b)
+        (npp, npm, nmp, nmm), = classical_outcomes(model, *_at(alpha, alpha, 10_000), rng)
+        assert npp == nmm == 0 and npm + nmp == 10_000  # a = -b in every run
 
     def test_opposed_settings_always_equal(self, rng):
         model = random_mixture(rng)
         alpha = rng.uniform(0, PI)
-        a, b = outcomes(classical_outcomes(model, *_at(alpha, alpha + PI, 10_000), rng))
-        assert np.all(a == b)
+        (npp, npm, nmp, nmm), = classical_outcomes(model, *_at(alpha, alpha + PI, 10_000), rng)
+        assert npm == nmp == 0 and npp + nmm == 10_000  # a = b in every run
 
     def test_triangle_at_right_angle_uncorrelated(self, rng):
         n = 10**6
-        a, b = outcomes(classical_outcomes(triangle_colouring(), *_at(0.0, PI / 2, n), rng))
-        assert abs(np.mean(a * b)) < 4 / math.sqrt(n)
+        (npp, npm, nmp, nmm), = classical_outcomes(triangle_colouring(), *_at(0.0, PI / 2, n), rng)
+        assert abs((npp + nmm - npm - nmp) / n) < 4 / math.sqrt(n)  # the mean of a * b
 
     def test_marginal_fairness(self, rng):
         n = 10**5
         model = random_mixture(rng)
-        a, _ = outcomes(classical_outcomes(model, *_at(1.3, 0.2, n), rng))
-        assert abs(np.mean(a)) < 4 / math.sqrt(n)
+        (npp, npm, nmp, nmm), = classical_outcomes(model, *_at(1.3, 0.2, n), rng)
+        assert abs((npp + npm - nmp - nmm) / n) < 4 / math.sqrt(n)  # the mean of a
 
     @settings(max_examples=50, deadline=None)
     @given(mixtures(max_k=8), st.integers(0, 2**32 - 1))
@@ -64,14 +79,22 @@ class TestClassicalRun:
         x[:, :4] = [[TWO_PI, 7.0, -0.0, 1e17], [-TWO_PI, -7.0, 1e15, -1e308]]
         # a setting just below a multiple of 2*pi reduces to 2*pi, and that again to 0
         alphas, betas = x[:, (np.remainder(x, TWO_PI) < TWO_PI).all(axis=0)]
+        reduced = np.remainder(alphas, TWO_PI), np.remainder(betas, TWO_PI)
         pair_idx = data.integers(alphas.size, size=B + 5)
         rng, reduced_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        cells = classical_outcomes(model, alphas, betas, pair_idx, rng)
-        ref = classical_outcomes(
-            model, np.remainder(alphas, TWO_PI), np.remainder(betas, TWO_PI), pair_idx, reduced_rng
-        )
+        counts = classical_outcomes(model, alphas, betas, pair_idx, rng)
+        assert np.array_equal(counts, classical_outcomes(model, *reduced, pair_idx, reduced_rng))
+        assert rng.bit_generator.state == reduced_rng.bit_generator.state
+        # run by run: one listed pair per run, and the cell table's per-block entry point
+        rng, reduced_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        runs = np.arange(pair_idx.size)
+        cells = _one_hot_cells(classical_outcomes(model, alphas[pair_idx], betas[pair_idx], runs, rng))
+        ref = _one_hot_cells(classical_outcomes(model, *(x[pair_idx] for x in reduced), runs, reduced_rng))
         assert np.array_equal(cells, ref)
         assert rng.bit_generator.state == reduced_rng.bit_generator.state
+        raw_lookup, lookup = (_ClassicalLookup(model, *x, 10**12) for x in ((alphas, betas), reduced))
+        u, comp = data.uniform(0.0, TWO_PI, runs.size), lookup.values[data.integers(lookup.n_comp, size=runs.size)]
+        assert np.array_equal(_run_cells(raw_lookup, pair_idx, u, comp), _run_cells(lookup, pair_idx, u, comp))
 
 
 class TestColourLookup:
@@ -87,7 +110,7 @@ class TestColourLookup:
         else:
             alphas, betas = setting_rng.uniform(0.0, TWO_PI, size=(2, n_runs))
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, b = outcomes(classical_outcomes(model, alphas, betas, np.arange(n_runs), rng))
+        a, b = outcomes(_one_hot_cells(classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)))
         a_ref, b_ref = masked_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.random() == oracle_rng.random()  # same draws consumed
@@ -189,7 +212,7 @@ class TestBinTableLookup:
         ))
 
         rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        a, b = outcomes(classical_outcomes(model, alphas, betas, np.arange(n_runs), rng))
+        a, b = outcomes(_one_hot_cells(classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)))
         a_ref, b_ref = concatenated_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -292,7 +315,7 @@ class TestBinTable:
         comp = cdf.searchsorted(pick, side="right")
         want = (lookup.row if by_cell else TWO_PI) * comp  # the component's offset or shift
         assert np.array_equal(lookup.components(pick), want)
-        a, b = outcomes(lookup.cells(idx, u, lookup.components(pick)))
+        a, b = outcomes(_run_cells(lookup, idx, u, lookup.components(pick)))
         a_ref, b_ref = concatenated_outcomes_at(model, alphas[idx], betas[idx], u, comp)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
 
@@ -300,8 +323,8 @@ class TestBinTable:
     def test_no_runs(self, n_comp):
         model = Mixture(tuple((1 / n_comp, triangle_colouring()) for _ in range(n_comp)))
         rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
-        cells = classical_outcomes(model, np.array([0.5]), np.array([1.0]), np.zeros(0, np.intp), rng)
-        assert cells.shape == (0,) and cells.dtype == np.int8
+        counts = classical_outcomes(model, np.array([0.5]), np.array([1.0]), np.zeros(0, np.intp), rng)
+        assert counts.dtype == np.int64 and np.array_equal(counts, np.zeros((1, 4)))
         concatenated_classical_outcomes(model, np.zeros(0), np.zeros(0), oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -350,8 +373,28 @@ class TestStreams:
             g.integers(5, size=3, dtype=np.int32)
         alphas, betas = np.array([0.3, 7.0]), np.array([1.1, -2.0])
         pair_idx = np.arange(2 * B + 1) % 2
-        a, b = outcomes(classical_outcomes(model, alphas, betas, pair_idx, rng))
+        counts = classical_outcomes(model, alphas, betas, pair_idx, rng)
+        assert np.array_equal(counts, _oracle_counts(model, alphas, betas, pair_idx, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        for g in (rng, oracle_rng):
+            g.integers(5, size=3, dtype=np.int32)
+        runs = np.arange(pair_idx.size)  # one listed pair per run
+        a, b = outcomes(_one_hot_cells(classical_outcomes(model, alphas[pair_idx], betas[pair_idx], runs, rng)))
         a_ref, b_ref = concatenated_classical_outcomes(model, alphas[pair_idx], betas[pair_idx], oracle_rng)
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("halves", [0, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, B + 1])
+    def test_quantum_draws_follow_the_int32_halves(self, n, halves):
+        # the int32 draws take a buffered half first; the random() draws follow them
+        rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+        for g in (rng, oracle_rng):
+            g.integers(5, size=halves, dtype=np.int32)
+        alphas, betas = np.array([0.3, 7.0, 2.0]), np.array([1.1, -2.0, 2.0])
+        pair_idx = np.arange(n) % 3
+        a, b = outcomes(_one_hot_cells(quantum_outcomes(alphas[pair_idx], betas[pair_idx], np.arange(n), rng)))
+        a_ref, b_ref = _quantum_outcomes(alphas[pair_idx], betas[pair_idx], oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -401,7 +444,9 @@ class TestCellTable:
         for n_runs in (0, 10**12):
             lookup = _ClassicalLookup(model, alphas, betas, n_runs)
             assert lookup.by_cell == (n_runs > 0)
-            a, b = outcomes(lookup.cells(idx, u, lookup.values[comp]))
+            if lookup.by_cell:  # within a few ulps of a breakpoint, every run's bin is marked
+                assert np.all(lookup.cells(idx, u, lookup.values[comp]) == _MARK)
+            a, b = outcomes(_run_cells(lookup, idx, u, lookup.values[comp]))
             assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
 
     def test_size_rule_sides_match_whole_array_oracle(self):
@@ -416,30 +461,33 @@ class TestCellTable:
 
 class TestQuantumRun:
     def test_equal_settings_always_opposite(self, rng):
-        a, b = outcomes(quantum_outcomes(*_at(0.0, 0.0, 10_000), rng))
-        assert np.all(a == -b)
+        (npp, npm, nmp, nmm), = quantum_outcomes(*_at(0.0, 0.0, 10_000), rng)
+        assert npp == nmm == 0 and npm + nmp == 10_000  # a = -b in every run
 
     def test_right_angle_all_four_cells(self, rng):
         n = 10**5
-        a, b = outcomes(quantum_outcomes(*_at(0.0, PI / 2, n), rng))
-        for sa in (1, -1):
-            for sb in (1, -1):
-                frac = np.mean((a == sa) & (b == sb))
-                assert frac == pytest.approx(0.25, abs=0.01)
+        (row,) = quantum_outcomes(*_at(0.0, PI / 2, n), rng)
+        for frac in row / n:  # ++, +-, -+, --
+            assert frac == pytest.approx(0.25, abs=0.01)
 
     def test_cosine_correlation(self, rng):
         n = 10**6
-        a, b = outcomes(quantum_outcomes(*_at(0.0, PI / 4, n), rng))
-        assert np.mean(a * b) == pytest.approx(-math.cos(PI / 4), abs=4 / math.sqrt(n))
+        (npp, npm, nmp, nmm), = quantum_outcomes(*_at(0.0, PI / 4, n), rng)
+        assert (npp + nmm - npm - nmp) / n == pytest.approx(-math.cos(PI / 4), abs=4 / math.sqrt(n))
 
     @pytest.mark.parametrize("n", [0, 1, 3 * B + 5])
     def test_matches_per_run_oracle_and_its_generator_state(self, n):
         alphas, betas = np.array([0.0, 1.0, 5.5, -0.5]), np.array([0.3, 0.0, 7.0, 1e308])
         pair_idx = np.random.default_rng(n).integers(4, size=n)
         rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
-        a, b = outcomes(quantum_outcomes(alphas, betas, pair_idx, rng))
+        runs = np.arange(n)  # one listed pair per run
+        a, b = outcomes(_one_hot_cells(quantum_outcomes(alphas[pair_idx], betas[pair_idx], runs, rng)))
         ref_a, ref_b = _quantum_outcomes(alphas[pair_idx], betas[pair_idx], oracle_rng)
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+        counts = quantum_outcomes(alphas, betas, pair_idx, rng)
+        assert np.array_equal(counts, _oracle_counts(None, alphas, betas, pair_idx, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -590,6 +638,74 @@ class TestBlockedKernel:
         table = run_experiment(model, pairs, n_runs=n_runs, seed=n_runs)
         assert table.counts.sum() == n_runs
         assert_oracle_table(table, whole_array_run_experiment(model, pairs, n_runs, seed=n_runs))
+
+
+def _oracle_counts(model, alphas, betas, pair_idx, rng):
+    """(pairs, 4) counts of the whole-array oracles' runs at settings (alphas, betas)[pair_idx]."""
+    if model is None:
+        a, b = _quantum_outcomes(alphas[pair_idx], betas[pair_idx], rng)
+    else:
+        a, b = concatenated_classical_outcomes(model, alphas[pair_idx], betas[pair_idx], rng)
+    return np.bincount(4 * pair_idx + 2 * (a < 0) + (b < 0), minlength=4 * alphas.size).reshape(-1, 4)
+
+
+_COUNT_MODELS = {
+    "1": triangle_colouring(),
+    "2": Mixture(((0.6, triangle_colouring()), (0.4, new_colouring([0.4, 2.2])))),
+    "48": Mixture(tuple((w, triangle_colouring()) for w in _weights(48, np.random.default_rng(48)))),
+    "quantum": None,
+}
+
+
+class TestCountingKernel:
+    """Each kernel's counts and the generator's end state equal the whole-array oracle's."""
+
+    @pytest.mark.parametrize("n_pairs", [1, 200], ids=["1pair", "200pairs"])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5], ids=["1", "B-1", "B", "B+1", "3B+5"])
+    @pytest.mark.parametrize("case, coarse", [
+        pytest.param(case, coarse, id=f"{case}-{'coarse' if coarse else 'bins'}")
+        for case in sorted(_COUNT_MODELS) for coarse in (False, True)
+        if not (coarse and _COUNT_MODELS[case] is None)  # the singlet law has no tables
+    ])
+    def test_matches_whole_array_oracle(self, case, coarse, n, n_pairs, monkeypatch):
+        model = _COUNT_MODELS[case]
+        if coarse:  # one bin per switch: a large share of the rotations land in a marked bin
+            monkeypatch.setattr(montecarlo, "_BINS_PER_SWITCH", 1)
+        marked = []
+        exact = _ClassicalLookup.exact
+        monkeypatch.setattr(_ClassicalLookup, "exact", lambda self, *r: marked.append(r[0].size) or exact(self, *r))
+        data = np.random.default_rng(n)
+        # settings on switches, beside them, or outside [0, 2*pi)
+        alphas, betas = _settings_near_switches(model or triangle_colouring(), data, n_pairs)
+        pair_idx = data.integers(n_pairs, size=n, dtype=np.int32)
+        rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+        kernel = quantum_outcomes if model is None else lambda *a: classical_outcomes(model, *a)
+        counts = kernel(alphas, betas, pair_idx, rng)
+        assert np.array_equal(counts, _oracle_counts(model, alphas, betas, pair_idx, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        if model is not None:
+            by_cell = _ClassicalLookup(model, alphas, betas, n).by_cell
+            if not coarse:
+                assert by_cell == (n_pairs == 1 and n > 1)
+            if by_cell:  # one exact pass; on coarse bins it resolves a large share of the runs
+                assert len(marked) == 1 and marked[0] > (n / 4 if coarse else 0)
+
+
+class TestRowMerge:
+    """Count rows merge as the dict of pairs with runs did, in order and sign."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.5, -2.0]), st.sampled_from([0.0, -0.0, 3.0])),
+                 min_size=1, max_size=40),
+        st.integers(1, 80), st.integers(0, 2**32 - 1), st.booleans(),
+    )
+    @example(pairs=[(-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (1.5, -0.0)], n_runs=30, seed=0, quantum=False)
+    def test_matches_the_dict_policy(self, pairs, n_runs, seed, quantum):
+        model = None if quantum else new_colouring([0.5, 1.0])
+        table = run_experiment(model, pairs, n_runs=n_runs, seed=seed)
+        assert_oracle_table(table, whole_array_run_experiment(model, pairs, n_runs, seed=seed))
+        assert all(type(a) is float and type(b) is float for a, b in table.pairs)
 
 
 class TestEmpiricalCorrelation:
