@@ -178,7 +178,8 @@ def cmd_corr(model_file: str, grid: int, out: str) -> None:
 
 @main.command("demo-figure")
 @click.option("--nswitch", default=4, show_default=True, callback=_bounded(), help="Even switch count per panel.")
-@click.option("--panels", default=12, show_default=True, callback=_bounded(1))
+@click.option("--panels", default=12, show_default=True, callback=_bounded(1),
+              help=f"Number of panel files; run time grows linearly with it, up to {_MAX_SIZE}.")
 @_seed_option
 @click.option("--grid", default=721, show_default=True, callback=_bounded(1))
 @click.option("--outdir", default=".", show_default=True, type=click.Path(file_okay=False))
@@ -221,11 +222,11 @@ def cmd_sim(model_file, quantum, alpha, beta, grid_pairs, runs, seed, out) -> No
     elif alpha is not None or beta is not None:
         raise ValidationError("--grid cannot be combined with --alpha or --beta")
     else:
-        pairs = [(0.0, beta) for beta in (TWO_PI * np.arange(grid_pairs) / grid_pairs).tolist()]
+        pairs = np.column_stack([np.zeros(grid_pairs), TWO_PI * np.arange(grid_pairs) / grid_pairs])
     table = run_experiment(model, pairs, n_runs=runs, seed=seed)
     header = _header("sim", model=model_file or "quantum", runs=runs, seed=seed,
                      alpha=alpha, beta=beta, grid=grid_pairs)
-    columns = [*np.array(table.pairs).T, *table.counts.T, *empirical_correlation(table)]
+    columns = [*table.pairs.T, *table.counts.T, *empirical_correlation(table)]
     _write_text(out, _csv(header, "alpha,beta,npp,npm,nmp,nmm,corr,se", columns))
 
 
@@ -255,9 +256,10 @@ def cmd_spectrum(model_file: str, nmax: int, out: str, report: str) -> None:
               help="Single-colouring search with this k.")
 @click.option("--pool", default=None, help="Comma-separated even k values for mixture search.")
 @click.option("--monotone", is_flag=True)
-@click.option("--starts", default=32, show_default=True, callback=_bounded(1))
+@click.option("--starts", default=32, show_default=True, callback=_bounded(1),
+              help=f"Random starts per search; run time grows linearly with it, up to {_MAX_SIZE}.")
 @click.option("--iterations", default=50, show_default=True, callback=_bounded(1),
-              help="Frank-Wolfe iterations (pool mode).")
+              help=f"Frank-Wolfe iterations (pool mode); run time grows linearly with it, up to {_MAX_SIZE}.")
 @_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_optimize(metric, k_value, pool, monotone, starts, iterations, seed, out) -> None:

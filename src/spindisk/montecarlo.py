@@ -42,9 +42,9 @@ from .circle import TWO_PI, Colouring, Mixture, ValidationError, as_mixture, col
 
 @dataclass(frozen=True)
 class CountTable:
-    """Outcome counts: int64 row counts[j] is [n++, n+-, n-+, n--] at pairs[j], pairs sorted."""
+    """Outcome counts: int64 row counts[j] is [n++, n+-, n-+, n--] at (alpha, beta) = float64 pairs[j], rows sorted."""
 
-    pairs: list[tuple[float, float]]
+    pairs: np.ndarray
     counts: np.ndarray
 
 
@@ -116,18 +116,18 @@ def _cell_table(x: np.ndarray, local: list[np.ndarray], n_bins: int, delta: floa
 
 
 class _ClassicalLookup:
-    """The per-block lookups of `classical_outcomes` for one model, its settings and run count."""
+    """The per-block lookups of `classical_outcomes` for one model, its (P, 2) settings and run count."""
 
-    def __init__(self, model: Mixture | Colouring, alphas: np.ndarray, betas: np.ndarray, n_runs: int):
+    def __init__(self, model: Mixture | Colouring, pairs: np.ndarray, n_runs: int):
         mix = as_mixture(model)
         self.n_comp = n_comp = len(mix.components)
         local = [np.array(full_switch_set(c)) for _, c in mix.components]
         self.switches = np.concatenate([f + TWO_PI * ci for ci, f in enumerate(local)])
-        self.x = np.remainder([alphas, betas], TWO_PI)
+        self.x = np.remainder(pairs.T, TWO_PI)
         n_bins = _BINS_PER_SWITCH * 2 * max(f.size for f in local)
         self.row = n_bins + 2
         self.stride = n_comp * self.row  # the cells of one setting pair
-        self.by_cell = alphas.size * self.stride <= n_runs
+        self.by_cell = len(pairs) * self.stride <= n_runs
         if self.by_cell:
             self.scale = n_bins / TWO_PI
             self.table = _cell_table(self.x, local, n_bins, 16 * np.spacing(TWO_PI * (n_comp + 1)))
@@ -178,9 +178,9 @@ class _ClassicalLookup:
 
 
 def classical_outcomes(
-    model: Mixture | Colouring, alphas: np.ndarray, betas: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator
+    model: Mixture | Colouring, pairs: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """(len(alphas), 4) int64 counts of classical runs at settings (alphas, betas)[pair_idx]; rng must draw from PCG64.
+    """(P, 4) int64 counts of classical runs at the rows pairs[pair_idx] of (P, 2) float settings; rng draws from PCG64.
 
     The exact rule: component c's full switch set is shifted by 2*pi*c and
     the shifted sets are concatenated into one sorted array S, in which a
@@ -197,13 +197,13 @@ def classical_outcomes(
     monotone in u, so every u in an unmarked bin lies more than delta from
     every real breakpoint, and the rule reads the bin's cell there.
     """
-    lookup = _ClassicalLookup(model, alphas, betas, pair_idx.size)
+    lookup = _ClassicalLookup(model, pairs, pair_idx.size)
     comp, mixed = lookup.values[0], lookup.n_comp > 1
     if mixed:  # the picks follow all n rotations in the stream
         bits = np.random.PCG64(0)
         bits.state = rng.bit_generator.state
         picks = np.random.Generator(bits.advance(pair_idx.size))
-    counts = np.zeros((alphas.size, 5), np.int64)  # slot 4: runs in a marked bin
+    counts = np.zeros((len(pairs), 5), np.int64)  # slot 4: runs in a marked bin
     late = []
     for s in _blocks(pair_idx.size):
         idx, u = pair_idx[s], rng.random(s.stop - s.start) * TWO_PI
@@ -221,10 +221,8 @@ def classical_outcomes(
     return counts[:, :4]
 
 
-def quantum_outcomes(
-    alphas: np.ndarray, betas: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """(len(alphas), 4) int64 counts sampled from the four-cell singlet law at settings (alphas, betas)[pair_idx].
+def quantum_outcomes(pairs: np.ndarray, pair_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(P, 4) int64 counts sampled from the four-cell singlet law at the rows pairs[pair_idx] of (P, 2) float settings.
 
     a = -1 where `integers(0, 2)` draws 1, the index `choice([1, -1])` draws
     (int32 draws the same), and b = a where the next `random` falls below
@@ -236,8 +234,8 @@ def quantum_outcomes(
     bits.state = rng.bit_generator.state
     equal = np.random.Generator(bits.advance((pair_idx.size - bits.state["has_uint32"] + 1) // 2))
     # reduced first: alpha - beta of two finite settings can overflow to inf
-    p_equal = 0.5 * (1.0 - np.cos(np.remainder(alphas, TWO_PI) - np.remainder(betas, TWO_PI)))
-    counts = np.zeros((alphas.size, 4), np.int64)
+    p_equal = 0.5 * (1.0 - np.cos(np.subtract(*np.remainder(pairs, TWO_PI).T)))
+    counts = np.zeros((len(pairs), 4), np.int64)
     for s in _blocks(pair_idx.size):
         idx = pair_idx[s]
         cell = 3 * rng.integers(0, 2, idx.size, dtype=np.int32) ^ (equal.random(idx.size) >= p_equal[idx])
@@ -246,10 +244,27 @@ def quantum_outcomes(
     return counts
 
 
+def _setting_pairs(pairs) -> np.ndarray:
+    """pairs as a (P, 2) float64 array; ValidationError unless a non-empty array-like of finite real pairs.
+
+    As in model files, bools and numeric strings are not numbers; neither
+    are complex or other objects.  Python ints past int64 are.
+    """
+    try:
+        keys = np.asarray(pairs)
+        if keys.dtype == object and all(type(x) is int for x in keys.flat):
+            keys = keys.astype(float)
+    except (ValueError, OverflowError):  # ragged, or an int past float
+        keys = np.empty(0, object)
+    if keys.dtype.kind not in "iuf" or keys.shape[1:] != (2,) or not len(keys) or not np.isfinite(keys).all():
+        raise ValidationError("setting pairs must be a non-empty list of finite (alpha, beta) pairs of real numbers")
+    return keys.astype(float, copy=False)
+
+
 def run_experiment(
-    model: Mixture | Colouring | None, pairs: list[tuple[float, float]], *, n_runs: int, seed: int = 0
+    model: Mixture | Colouring | None, pairs: np.typing.ArrayLike, *, n_runs: int, seed: int = 0
 ) -> CountTable:
-    """Run independent trials at setting pairs drawn uniformly from `pairs`; counts per pair.
+    """Run independent trials at rows (alpha, beta) drawn uniformly from the (P, 2) array-like `pairs`; counts per pair.
 
     model=None samples the quantum singlet law instead of a classical
     model.  Deterministic given seed: the stream is the first child of
@@ -257,23 +272,20 @@ def run_experiment(
     listed twice (equal under ==, as 0.0 and -0.0 are) share one row, under
     the first listed pair that got runs.  Rows follow the sorted pairs.
     """
-    keys = np.array(pairs, float)
-    if keys.shape[1:] != (2,) or not len(keys) or not np.isfinite(keys).all():
-        raise ValidationError("setting pairs must be a non-empty list of finite (alpha, beta) pairs")
+    keys = _setting_pairs(pairs)
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
-    alphas, betas = keys.T.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     pair_idx = rng.integers(len(keys), size=n_runs, dtype=np.int32 if 5 * len(keys) <= 2**31 else np.int64)
     if model is None:
-        counts = quantum_outcomes(alphas, betas, pair_idx, rng)
+        counts = quantum_outcomes(keys, pair_idx, rng)
     else:
-        counts = classical_outcomes(model, alphas, betas, pair_idx, rng)
+        counts = classical_outcomes(model, keys, pair_idx, rng)
     listed = np.flatnonzero(counts.any(axis=1))
     listed = listed[np.lexsort(keys[listed].T[::-1] + 0.0)]  # stable: equal pairs keep their listing order
     x = keys[listed] + 0.0  # -0.0 + 0.0 is 0.0
     first = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]).any(axis=1)])  # each row's first listing
-    return CountTable(list(zip(*keys[listed[first]].T.tolist())), np.add.reduceat(counts[listed], first))
+    return CountTable(keys[listed[first]], np.add.reduceat(counts[listed], first))
 
 
 def empirical_correlation(table: CountTable) -> tuple[np.ndarray, np.ndarray]:

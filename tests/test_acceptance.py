@@ -60,9 +60,7 @@ def test_criterion_01_certainty_relations():
         assert abs(pl.sample(PI) - 1.0) <= 1e-12
     model = random_mixture(rng)
     alpha = rng.uniform(0, TWO_PI)
-    (npp, npm, nmp, nmm), = classical_outcomes(
-        model, np.array([alpha]), np.array([alpha]), np.zeros(10_000, np.intp), rng
-    )
+    (npp, npm, nmp, nmm), = classical_outcomes(model, np.array([[alpha, alpha]]), np.zeros(10_000, np.intp), rng)
     assert npp == nmm == 0 and npm + nmp == 10_000, "equal settings must give opposite outcomes in every run"
     _report("1 certainty relations", time.time() - t0, 10)
 
@@ -81,7 +79,7 @@ def test_criterion_03_quantum_reference():
     n = 10**6
     deltas = TWO_PI * np.arange(8) / 8 + 0.1
     for delta in deltas:
-        (npp, npm, nmp, nmm), = quantum_outcomes(np.zeros(1), np.array([delta]), np.zeros(n, np.intp), rng)
+        (npp, npm, nmp, nmm), = quantum_outcomes(np.array([[0.0, delta]]), np.zeros(n, np.intp), rng)
         est = (npp + nmm - npm - nmp) / n  # the mean of a * b
         assert abs(est - (-math.cos(delta))) < 0.005, f"delta={delta}"
     _report("3 quantum reference", time.time() - t0, 30)
@@ -96,7 +94,8 @@ def test_criterion_04_montecarlo_vs_exact():
         c = random_colouring(rng, int(rng.choice([2, 4, 6])))
         pl = exact_correlation(c)
         betas = rng.uniform(0, TWO_PI, 8)
-        npp, npm, nmp, nmm = classical_outcomes(c, np.zeros(8), betas, np.repeat(np.arange(8), n), rng).T
+        pairs = np.column_stack([np.zeros(8), betas])
+        npp, npm, nmp, nmm = classical_outcomes(c, pairs, np.repeat(np.arange(8), n), rng).T
         for beta, est in zip(betas, (npp + nmm - npm - nmp) / n):  # the mean of a * b at each beta
             assert abs(est - pl.sample(beta)) < tol, f"model {i}, beta={beta}"
     _report("4 Monte Carlo vs exact", time.time() - t0, 120)

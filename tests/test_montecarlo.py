@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import chi2
 
 from spindisk import (
     CountTable,
@@ -29,8 +30,13 @@ B = _RUN_BLOCK
 
 
 def _at(alpha, beta, n):
-    """One setting pair read by all n runs: (alphas, betas, pair_idx)."""
-    return np.array([alpha]), np.array([beta]), np.zeros(n, np.intp)
+    """One setting pair read by all n runs: (pairs, pair_idx)."""
+    return np.array([[alpha, beta]]), np.zeros(n, np.intp)
+
+
+def _pairs(alphas, betas):
+    """The kernels' (P, 2) settings array, row j = (alphas[j], betas[j])."""
+    return np.column_stack([alphas, betas])
 
 
 def _one_hot_cells(counts):
@@ -82,17 +88,17 @@ class TestClassicalRun:
         reduced = np.remainder(alphas, TWO_PI), np.remainder(betas, TWO_PI)
         pair_idx = data.integers(alphas.size, size=B + 5)
         rng, reduced_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        counts = classical_outcomes(model, alphas, betas, pair_idx, rng)
-        assert np.array_equal(counts, classical_outcomes(model, *reduced, pair_idx, reduced_rng))
+        counts = classical_outcomes(model, _pairs(alphas, betas), pair_idx, rng)
+        assert np.array_equal(counts, classical_outcomes(model, _pairs(*reduced), pair_idx, reduced_rng))
         assert rng.bit_generator.state == reduced_rng.bit_generator.state
         # run by run: one listed pair per run, and the cell table's per-block entry point
         rng, reduced_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         runs = np.arange(pair_idx.size)
-        cells = _one_hot_cells(classical_outcomes(model, alphas[pair_idx], betas[pair_idx], runs, rng))
-        ref = _one_hot_cells(classical_outcomes(model, *(x[pair_idx] for x in reduced), runs, reduced_rng))
+        cells = _one_hot_cells(classical_outcomes(model, _pairs(alphas, betas)[pair_idx], runs, rng))
+        ref = _one_hot_cells(classical_outcomes(model, _pairs(*reduced)[pair_idx], runs, reduced_rng))
         assert np.array_equal(cells, ref)
         assert rng.bit_generator.state == reduced_rng.bit_generator.state
-        raw_lookup, lookup = (_ClassicalLookup(model, *x, 10**12) for x in ((alphas, betas), reduced))
+        raw_lookup, lookup = (_ClassicalLookup(model, _pairs(*x), 10**12) for x in ((alphas, betas), reduced))
         u, comp = data.uniform(0.0, TWO_PI, runs.size), lookup.values[data.integers(lookup.n_comp, size=runs.size)]
         assert np.array_equal(_run_cells(raw_lookup, pair_idx, u, comp), _run_cells(lookup, pair_idx, u, comp))
 
@@ -110,7 +116,7 @@ class TestColourLookup:
         else:
             alphas, betas = setting_rng.uniform(0.0, TWO_PI, size=(2, n_runs))
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, b = outcomes(_one_hot_cells(classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)))
+        a, b = outcomes(_one_hot_cells(classical_outcomes(model, _pairs(alphas, betas), np.arange(n_runs), rng)))
         a_ref, b_ref = masked_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.random() == oracle_rng.random()  # same draws consumed
@@ -212,7 +218,7 @@ class TestBinTableLookup:
         ))
 
         rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        a, b = outcomes(_one_hot_cells(classical_outcomes(model, alphas, betas, np.arange(n_runs), rng)))
+        a, b = outcomes(_one_hot_cells(classical_outcomes(model, _pairs(alphas, betas), np.arange(n_runs), rng)))
         a_ref, b_ref = concatenated_classical_outcomes(model, alphas, betas, oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -310,7 +316,7 @@ class TestBinTable:
         pick = rng.permutation(pick[pick < 1.0])
         alphas, betas = rng.uniform(0.0, TWO_PI, (2, 4))
         idx, u = rng.integers(4, size=pick.size), rng.uniform(0.0, TWO_PI, pick.size)
-        lookup = _ClassicalLookup(model, alphas, betas, 10**12 if by_cell else 0)
+        lookup = _ClassicalLookup(model, _pairs(alphas, betas), 10**12 if by_cell else 0)
         assert lookup.by_cell == by_cell
         comp = cdf.searchsorted(pick, side="right")
         want = (lookup.row if by_cell else TWO_PI) * comp  # the component's offset or shift
@@ -323,7 +329,7 @@ class TestBinTable:
     def test_no_runs(self, n_comp):
         model = Mixture(tuple((1 / n_comp, triangle_colouring()) for _ in range(n_comp)))
         rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
-        counts = classical_outcomes(model, np.array([0.5]), np.array([1.0]), np.zeros(0, np.intp), rng)
+        counts = classical_outcomes(model, np.array([[0.5, 1.0]]), np.zeros(0, np.intp), rng)
         assert counts.dtype == np.int64 and np.array_equal(counts, np.zeros((1, 4)))
         concatenated_classical_outcomes(model, np.zeros(0), np.zeros(0), oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -373,13 +379,13 @@ class TestStreams:
             g.integers(5, size=3, dtype=np.int32)
         alphas, betas = np.array([0.3, 7.0]), np.array([1.1, -2.0])
         pair_idx = np.arange(2 * B + 1) % 2
-        counts = classical_outcomes(model, alphas, betas, pair_idx, rng)
+        counts = classical_outcomes(model, _pairs(alphas, betas), pair_idx, rng)
         assert np.array_equal(counts, _oracle_counts(model, alphas, betas, pair_idx, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         for g in (rng, oracle_rng):
             g.integers(5, size=3, dtype=np.int32)
         runs = np.arange(pair_idx.size)  # one listed pair per run
-        a, b = outcomes(_one_hot_cells(classical_outcomes(model, alphas[pair_idx], betas[pair_idx], runs, rng)))
+        a, b = outcomes(_one_hot_cells(classical_outcomes(model, _pairs(alphas, betas)[pair_idx], runs, rng)))
         a_ref, b_ref = concatenated_classical_outcomes(model, alphas[pair_idx], betas[pair_idx], oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -393,7 +399,7 @@ class TestStreams:
             g.integers(5, size=halves, dtype=np.int32)
         alphas, betas = np.array([0.3, 7.0, 2.0]), np.array([1.1, -2.0, 2.0])
         pair_idx = np.arange(n) % 3
-        a, b = outcomes(_one_hot_cells(quantum_outcomes(alphas[pair_idx], betas[pair_idx], np.arange(n), rng)))
+        a, b = outcomes(_one_hot_cells(quantum_outcomes(_pairs(alphas, betas)[pair_idx], np.arange(n), rng)))
         a_ref, b_ref = _quantum_outcomes(alphas[pair_idx], betas[pair_idx], oracle_rng)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -442,7 +448,7 @@ class TestCellTable:
         idx, u, comp = _breakpoint_runs(model, alphas, betas)
         a_ref, b_ref = concatenated_outcomes_at(model, alphas[idx], betas[idx], u, comp)
         for n_runs in (0, 10**12):
-            lookup = _ClassicalLookup(model, alphas, betas, n_runs)
+            lookup = _ClassicalLookup(model, _pairs(alphas, betas), n_runs)
             assert lookup.by_cell == (n_runs > 0)
             if lookup.by_cell:  # within a few ulps of a breakpoint, every run's bin is marked
                 assert np.all(lookup.cells(idx, u, lookup.values[comp]) == _MARK)
@@ -452,9 +458,9 @@ class TestCellTable:
     def test_size_rule_sides_match_whole_array_oracle(self):
         model, pairs = _BLOCK_CASES["mixture3_outside"]
         zeros = np.zeros(len(pairs))
-        entries = _ClassicalLookup(model, zeros, zeros, 0).stride * len(pairs)
+        entries = _ClassicalLookup(model, _pairs(zeros, zeros), 0).stride * len(pairs)
         for n_runs, by_cell in ((entries - 1, False), (entries, True)):
-            assert _ClassicalLookup(model, zeros, zeros, n_runs).by_cell == by_cell
+            assert _ClassicalLookup(model, _pairs(zeros, zeros), n_runs).by_cell == by_cell
             table = run_experiment(model, pairs, n_runs=n_runs, seed=n_runs)
             assert_oracle_table(table, whole_array_run_experiment(model, pairs, n_runs, seed=n_runs))
 
@@ -481,12 +487,12 @@ class TestQuantumRun:
         pair_idx = np.random.default_rng(n).integers(4, size=n)
         rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
         runs = np.arange(n)  # one listed pair per run
-        a, b = outcomes(_one_hot_cells(quantum_outcomes(alphas[pair_idx], betas[pair_idx], runs, rng)))
+        a, b = outcomes(_one_hot_cells(quantum_outcomes(_pairs(alphas, betas)[pair_idx], runs, rng)))
         ref_a, ref_b = _quantum_outcomes(alphas[pair_idx], betas[pair_idx], oracle_rng)
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
-        counts = quantum_outcomes(alphas, betas, pair_idx, rng)
+        counts = quantum_outcomes(_pairs(alphas, betas), pair_idx, rng)
         assert np.array_equal(counts, _oracle_counts(None, alphas, betas, pair_idx, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -512,7 +518,7 @@ class TestRunExperiment:
         )
         t1 = run_experiment(**kwargs)
         t2 = run_experiment(**kwargs)
-        assert t1.pairs == t2.pairs
+        assert np.array_equal(t1.pairs, t2.pairs)
         assert np.array_equal(t1.counts, t2.counts)
 
     def test_sharded_determinism_and_totals(self):
@@ -538,13 +544,13 @@ class TestRunExperiment:
 
     def test_duplicate_grid_pairs_share_a_row(self):
         table = run_experiment(triangle_colouring(), [(0.0, 1.0), (0.0, 1.0)], n_runs=500, seed=1)
-        assert table.pairs == [(0.0, 1.0)] and table.counts.sum() == 500
+        assert list(map(tuple, table.pairs.tolist())) == [(0.0, 1.0)] and table.counts.sum() == 500
 
     def test_unsorted_grid_with_duplicates_gives_sorted_merged_rows(self):
         keys = [(0.5, 1.0), (0.0, 2.0), (0.5, 1.0), (-0.0, 2.0), (0.0, 1.0)]
         kwargs = dict(model=new_colouring([0.5, 1.0]), n_runs=5000, seed=2)
         table = run_experiment(pairs=keys, **kwargs)
-        assert table.pairs == sorted(set(keys)) == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0)]
+        assert list(map(tuple, table.pairs.tolist())) == sorted(set(keys)) == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0)]
         assert math.copysign(1.0, table.pairs[1][0]) == 1.0  # listed before -0.0
         assert_oracle_table(table, whole_array_run_experiment(pairs=keys, **kwargs))
 
@@ -571,6 +577,13 @@ class TestRunExperiment:
             run_experiment(None, [], n_runs=10, seed=0)
         with pytest.raises(ValidationError, match="n_runs"):
             run_experiment(None, [(0, 0)], n_runs=0, seed=0)
+        # ragged, bool, numeric-string, complex, object, three-column and past-float input
+        for pairs in ([(0, 1), (2,)], [(True, False)], [("0", "1")], [(1j, 0)], [(None, 0)], [(0, 1, 2)],
+                      [(10**400, 0)], 0.5, None):
+            with pytest.raises(ValidationError, match="pairs of real numbers"):
+                run_experiment(None, pairs, n_runs=10, seed=0)
+        table = run_experiment(None, [(10**30, 0)], n_runs=10, seed=0)  # a Python int past int64 is a number
+        assert table.pairs.tolist() == [[1e30, 0.0]]
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_settings_rejected(self, x):
@@ -601,7 +614,7 @@ class TestRunExperiment:
 def assert_oracle_table(table, ref):
     """table holds the oracle's rows, sorted, each named as the oracle names it (the sign of -0.0 too)."""
     pairs = sorted(ref)
-    assert np.array(table.pairs).tobytes() == np.array(pairs, float).tobytes()
+    assert table.pairs.tobytes() == np.array(pairs, float).tobytes()
     assert np.array_equal(table.counts, [ref[key] for key in pairs])
 
 
@@ -680,11 +693,11 @@ class TestCountingKernel:
         pair_idx = data.integers(n_pairs, size=n, dtype=np.int32)
         rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
         kernel = quantum_outcomes if model is None else lambda *a: classical_outcomes(model, *a)
-        counts = kernel(alphas, betas, pair_idx, rng)
+        counts = kernel(_pairs(alphas, betas), pair_idx, rng)
         assert np.array_equal(counts, _oracle_counts(model, alphas, betas, pair_idx, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         if model is not None:
-            by_cell = _ClassicalLookup(model, alphas, betas, n).by_cell
+            by_cell = _ClassicalLookup(model, _pairs(alphas, betas), n).by_cell
             if not coarse:
                 assert by_cell == (n_pairs == 1 and n > 1)
             if by_cell:  # one exact pass; on coarse bins it resolves a large share of the runs
@@ -705,7 +718,82 @@ class TestRowMerge:
         model = None if quantum else new_colouring([0.5, 1.0])
         table = run_experiment(model, pairs, n_runs=n_runs, seed=seed)
         assert_oracle_table(table, whole_array_run_experiment(model, pairs, n_runs, seed=seed))
-        assert all(type(a) is float and type(b) is float for a, b in table.pairs)
+        assert all(type(a) is float and type(b) is float for a, b in table.pairs.tolist())
+
+
+#: Family-wise false-alarm rate of the three tests of the four-cell law below, split evenly among them.
+_LAW_ALPHA = 1e-6
+_LAW_PAIRS = [
+    (TWO_PI, -TWO_PI), (-PI, TWO_PI),  # rho = -1 and +1: two cells count 0
+    (0.4, 2.2),  # on switches of every model below
+    (-0.5, 7.0), (1e15, 0.3),  # outside [0, 2*pi)
+    (PI * 250 / 720, 1.3), (0.0, PI / 2), (5.0, 2.2 + PI),
+]
+_LAW_SEEDS = range(3)
+_LAW_RUNS = {"station": 2000, "cell": 300_000}  # each model's lookup path at these run counts
+
+
+def _law_models():
+    """A 3-component mixture, a k = 64 colouring and a 48-component mixture, all with switches at 0.4 and 2.2."""
+    rng = np.random.default_rng(64)
+    k64 = new_colouring(np.sort(np.r_[0.4, 2.2, rng.uniform(0.01, PI - 0.01, 62)]).tolist())
+    w = rng.uniform(0.05, 1.0, 48)
+    w /= w.sum()
+    many = Mixture(((float(w[0]), new_colouring([0.4, 2.2])),) + tuple(
+        (float(wi), random_colouring(rng, int(rng.choice([0, 2])))) for wi in w[1:]
+    ))
+    return [_MIXTURE3, k64, many]
+
+
+def _four_cell_g(model, rho, n_runs):
+    """Pooled (G, df) of run_experiment's rows at _LAW_PAIRS, one table per seed, against the law of rho.
+
+    A row with n runs at reduced alpha - beta = x is multinomial with
+    p = ((1 + r)/4, (1 - r)/4, (1 - r)/4, (1 + r)/4), r = rho(x).  A cell
+    with p = 0 must count 0; every other cell must expect >= 5 counts, so
+    that G is close to chi2 with one degree of freedom fewer than such cells.
+    """
+    g = df = 0
+    for seed in _LAW_SEEDS:
+        table = run_experiment(model, _LAW_PAIRS, n_runs=n_runs, seed=seed)
+        r = rho(np.subtract(*np.remainder(table.pairs, TWO_PI).T))[:, None]
+        p = np.hstack([1 + r, 1 - r, 1 - r, 1 + r]) / 4
+        expect = table.counts.sum(axis=1, keepdims=True) * p
+        assert np.all(table.counts[p == 0] == 0) and np.all(expect[p > 0] >= 5)
+        seen = table.counts > 0
+        g += 2 * np.sum(table.counts[seen] * np.log(table.counts[seen] / expect[seen]))
+        df += np.count_nonzero(p > 0) - len(p)
+    return g, df
+
+
+class TestFourCellLaw:
+    """Counts follow the four-cell law that rho fixes for every classical model, and -cos for the singlet.
+
+    The shift u -> u + pi keeps the rotation uniform and, by
+    antiperiodicity, flips both stations' colours, so P(++) = P(--) and
+    P(+-) = P(-+); E[ab] = rho(alpha - beta) gives the rest.  At fixed
+    seeds each test below is deterministic; over seeds, a correct simulator
+    fails one of the three null tests with probability at most _LAW_ALPHA.
+    """
+
+    @pytest.mark.parametrize("path", sorted(_LAW_RUNS))
+    def test_classical_counts_follow_the_law_of_rho(self, path):
+        g = df = 0
+        for model in _law_models():
+            assert _ClassicalLookup(model, np.array(_LAW_PAIRS), _LAW_RUNS[path]).by_cell == (path == "cell")
+            g_model, df_model = _four_cell_g(model, mixture_correlation(model).sample, _LAW_RUNS[path])
+            g, df = g + g_model, df + df_model
+        assert g < chi2.isf(_LAW_ALPHA / 3, df)
+
+    def test_quantum_counts_follow_the_law_of_minus_cos(self):
+        g, df = _four_cell_g(None, lambda x: -np.cos(x), 300_000)
+        assert g < chi2.isf(_LAW_ALPHA / 3, df)
+
+    @pytest.mark.parametrize("path", sorted(_LAW_RUNS))
+    def test_rejects_the_triangle_law_for_a_k6_colouring(self, path):
+        model = random_colouring(np.random.default_rng(6), 6)
+        g, df = _four_cell_g(model, exact_correlation(triangle_colouring()).sample, _LAW_RUNS[path])
+        assert g > chi2.isf(_LAW_ALPHA / 3, df)
 
 
 class TestEmpiricalCorrelation:
@@ -715,17 +803,17 @@ class TestEmpiricalCorrelation:
             counts = rng.integers(0, 10 ** rng.integers(1, 10, size=(n_rows, 4)))
             counts *= rng.random((n_rows, 4)) < 0.7  # rows with est = +-1 too
             counts[counts.sum(axis=1) == 0, 0] = 1
-            table = CountTable([(0.0, float(j)) for j in range(n_rows)], counts)
+            table = CountTable(np.array([(0.0, float(j)) for j in range(n_rows)]), counts)
             want = np.array([per_key_correlation(cells) for cells in counts])
             assert np.stack(empirical_correlation(table), axis=1).tobytes() == want.tobytes()
 
     def test_perfect_anticorrelation(self):
-        table = CountTable([(0.0, 0.0)], np.array([[0, 500, 500, 0]]))
+        table = CountTable(np.array([(0.0, 0.0)]), np.array([[0, 500, 500, 0]]))
         (est,), (se,) = empirical_correlation(table)
         assert est == -1.0 and se == 0.0
 
     def test_uncorrelated(self):
-        table = CountTable([(0.0, PI / 2)], np.array([[250, 250, 250, 250]]))
+        table = CountTable(np.array([(0.0, PI / 2)]), np.array([[250, 250, 250, 250]]))
         (est,), (se,) = empirical_correlation(table)
         assert est == 0.0
         assert se == pytest.approx(1 / math.sqrt(1000))
